@@ -8,8 +8,7 @@ from .geometry import (CurvatureFields, Factor, Fiber, Grid, HomogeneousState,
                        WarpedState, compute_curvature, compute_curvature_homogeneous,
                        curvature_fields, reduced_lengths_and_volume, scale_state)
 from .christoffel import curvature_oracle_check
-from .flow import FlowConfig, StepError, Trajectory, rhs, rhs_homogeneous, run, \
-    run_homogeneous, step
+from .flow import FlowConfig, StepError, Trajectory, rhs, rhs_homogeneous, run, step
 from .oracles import Scenario, exact_state, initial_state, singular_time
 from . import analysis
 
@@ -18,6 +17,6 @@ __all__ = [
     "compute_curvature", "compute_curvature_homogeneous", "curvature_fields",
     "reduced_lengths_and_volume", "scale_state", "curvature_oracle_check",
     "FlowConfig", "StepError", "Trajectory", "rhs", "rhs_homogeneous", "run",
-    "run_homogeneous", "step", "Scenario", "exact_state", "initial_state",
-    "singular_time", "analysis", "__version__",
+    "step", "Scenario", "exact_state", "initial_state", "singular_time", "analysis",
+    "__version__",
 ]

@@ -72,7 +72,6 @@ class MonitorRecord:
     grad_margin: float
     acc_r: float
     acc_w: float
-    dvdt_residual: float = 0.0
 
 
 @dataclass

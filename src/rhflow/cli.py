@@ -14,17 +14,11 @@ from pathlib import Path
 
 from . import __version__, convergence, runio, verification
 from .flow import FlowConfig, Trajectory, run
-from .oracles import SCENARIO_IDS, Scenario, exact_homogeneous_state, exact_warped_state
+from .oracles import SCENARIO_IDS, default_scenario, exact_state
 
 
-def _build_initial(scn: Scenario, representation: str, config: FlowConfig):
-    if representation == "homogeneous":
-        return exact_homogeneous_state(scn, 0.0)
-    return exact_warped_state(scn, 0.0, config.m)
-
-
-def _write_outputs(outdir: Path, config: FlowConfig, representation: str,
-                   traj: Trajectory, *, append: bool) -> list[str]:
+def _write_outputs(outdir: Path, config: FlowConfig, traj: Trajectory, *,
+                   append: bool) -> list[str]:
     """Write series, snapshots and checkpoint; returns relative paths."""
     files = ["config.yaml", "series.jsonl", "checkpoint.npz"]
     series = outdir / "series.jsonl"
@@ -71,13 +65,16 @@ def cmd_run(args) -> int:
     except runio.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        initial = exact_state(scn, 0.0, config.m, representation)
+        traj = run(config, initial, stop_after_steps=args.max_steps)
+    except ValueError as exc:  # initial data that the grid or the bounds reject
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(args.config, outdir / "config.yaml")
-
-    initial = _build_initial(scn, representation, config)
-    traj = run(config, initial, stop_after_steps=args.max_steps)
-    files = _write_outputs(outdir, config, representation, traj, append=False)
+    files = _write_outputs(outdir, config, traj, append=False)
     return _finalize(outdir, config, representation, traj, files)
 
 
@@ -101,7 +98,7 @@ def cmd_resume(args) -> int:
 
     traj = run(config, state, steps_done=steps, monitor_state=monitor_state,
                stop_after_steps=args.max_steps)
-    files = _write_outputs(outdir, config, representation, traj, append=True)
+    files = _write_outputs(outdir, config, traj, append=True)
     return _finalize(outdir, config, representation, traj, files)
 
 
@@ -124,18 +121,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    if args.scenario not in SCENARIO_IDS:
-        print(f"error: unknown scenario {args.scenario!r}", file=sys.stderr)
-        return 2
-    defaults = {
-        "flat_stationary": dict(n=4, alpha=1.0),
-        "torus_list": dict(n=2, alpha=1.0),
-        "shrinking_sphere": dict(n=3, alpha=1.0),
-        "shrinking_cylinder": dict(n=4, alpha=1.0),
-        "perturbed_cylinder": dict(n=4, alpha=1.0, winding=0, amplitude=0.05),
-        "perturbed_torus": dict(n=2, alpha=1.0, winding=1, amplitude=0.1),
-    }
-    scn = Scenario(args.scenario, **defaults[args.scenario])
+    scn = default_scenario(args.scenario)
     results = convergence.studies_for(scn)
     for res in results:
         order = "exact" if res.exact else f"{res.order:.3f}"
@@ -177,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_con = sub.add_parser("converge", help="grid/step refinement study")
-    p_con.add_argument("scenario", help="scenario id")
+    p_con.add_argument("scenario", choices=SCENARIO_IDS, help="scenario id")
     p_con.add_argument("-o", "--output", default=None)
     p_con.set_defaults(func=cmd_converge)
 

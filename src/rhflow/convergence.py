@@ -8,7 +8,7 @@ import numpy as np
 from .analysis import fit_order, monitor_S_evolution
 from .flow import FlowConfig, run
 from .geometry import WarpedState
-from .oracles import Scenario, exact_state
+from .oracles import SCENARIOS, Scenario, exact_state
 
 _EXACT_FLOOR = 1e-12
 
@@ -33,8 +33,9 @@ def _finish(name, scales, errors) -> StudyResult:
     return StudyResult(name, list(scales), errors, fit_order(scales, errors), False)
 
 
-def _state_error(state, reference) -> float:
-    """Max relative coefficient error between two states of the same kind."""
+def state_error(state, reference) -> float:
+    """Max relative coefficient error between two states of the same kind;
+    a warped reference may sit on a grid that refines the state's."""
     if isinstance(state, WarpedState):
         stride = reference.m // state.m
         pairs = ((state.f, reference.f[::stride]), (state.psi, reference.psi[::stride]),
@@ -56,7 +57,7 @@ def temporal_study(scn: Scenario, dts, t_star: float, m: int = 16) -> StudyResul
         cfg = FlowConfig(scenario=scn.id, n=scn.n, alpha=scn.alpha, m=m, dt=float(dt),
                          t_end=t_star, output_every=10**9, rate_limit=1e9)
         traj = run(cfg, exact_state(scn, 0.0, m))
-        errors.append(_state_error(traj.final_state, exact_state(scn, t_star, m)))
+        errors.append(state_error(traj.final_state, exact_state(scn, t_star, m)))
     return _finish("temporal", dts, errors)
 
 
@@ -73,7 +74,7 @@ def spatial_study(scn: Scenario, ms, dt: float, t_star: float,
         return run(cfg, exact_state(scn, 0.0, m)).final_state
 
     reference = evolve(m_ref)
-    errors = [_state_error(evolve(m), reference) for m in ms]
+    errors = [state_error(evolve(m), reference) for m in ms]
     hs = [2.0 * np.pi / m for m in ms]
     return _finish("spatial", hs, errors)
 
@@ -112,10 +113,9 @@ def studies_for(scn: Scenario) -> list[StudyResult]:
     """Default study battery for a scenario, used by the CLI: solution
     error plus evolution-identity residual, refined in dt for spatially
     constant scenarios and in (h, dt) for the perturbed ones."""
-    if scn.id in ("flat_stationary", "torus_list", "shrinking_sphere",
-                  "shrinking_cylinder"):
-        t_star = 0.2 if scn.id != "flat_stationary" else 0.5
-        return [temporal_study(scn, [4e-3, 2e-3, 1e-3], t_star),
+    spec = SCENARIOS[scn.id]
+    if spec.closed_form:
+        return [temporal_study(scn, [4e-3, 2e-3, 1e-3], spec.study_t),
                 s_residual_temporal_study(scn, [2e-3, 1e-3, 5e-4])]
     return [spatial_study(scn, [32, 64, 128], dt=3e-5, t_star=0.02),
             s_residual_study(scn, [32, 64, 128])]

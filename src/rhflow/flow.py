@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import MonitorRecord, MonitorState, make_monitor_record
+from .analysis import EPS0, MonitorRecord, MonitorState, make_monitor_record
 from .geometry import (Fiber, HomogeneousState, State, WarpedState, curvature_fields)
 
 TERMINATION_REASONS = ("reached_t_end", "blowup_threshold", "nonfinite")
@@ -60,7 +60,7 @@ class FlowConfig:
     rate_limit: float = 0.05
     output_every: int = 1
     snapshot_every: int = 0
-    eps0: float = 1e-8
+    eps0: float = EPS0
     # estimate monitors the verification suite evaluates for runs with this
     # config; None selects all of them
     monitors: tuple[str, ...] | None = None
@@ -259,7 +259,8 @@ def run(config: FlowConfig, initial: State, *,
     state = initial.copy()
     fields = curvature_fields(state)
     if fields.max_rm >= config.blowup_threshold:
-        raise ValueError("blowup_threshold must exceed the initial max|Rm|")
+        raise ValueError(f"blowup_threshold {config.blowup_threshold:g} must exceed "
+                         f"the initial max|Rm| {fields.max_rm:g}")
 
     if monitor_state is None:
         monitor_state = MonitorState.start(state, fields, config.eps0)
@@ -324,24 +325,4 @@ def run(config: FlowConfig, initial: State, *,
                                   make_monitor_record(state, curvature_fields(state),
                                                       monitor_state), steps))
 
-    traj = Trajectory(records, termination, config, steps, state, monitor_state)
-    _fill_dvdt_residuals(traj)
-    return traj
-
-
-def run_homogeneous(config: FlowConfig, initial: HomogeneousState, **kwargs) -> Trajectory:
-    """run() for homogeneous product states (same controller, ODE path)."""
-    if not isinstance(initial, HomogeneousState):
-        raise TypeError("run_homogeneous expects a HomogeneousState")
-    return run(config, initial, **kwargs)
-
-
-def _fill_dvdt_residuals(traj: Trajectory):
-    recs = traj.records
-    for k in range(1, len(recs)):
-        dt = recs[k].t - recs[k - 1].t
-        if dt <= 0.0:
-            continue
-        rate = (recs[k].monitor.volume - recs[k - 1].monitor.volume) / dt
-        avg = 0.5 * (recs[k].monitor.volume_integrand + recs[k - 1].monitor.volume_integrand)
-        recs[k].monitor.dvdt_residual = abs(rate - avg)
+    return Trajectory(records, termination, config, steps, state, monitor_state)

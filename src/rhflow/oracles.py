@@ -1,4 +1,5 @@
-"""Closed-form reference solutions used as ground truth by tests.
+"""Scenario registry (SCENARIOS) and the closed-form reference solutions
+used as ground truth by tests.
 
 Scenarios with exact solutions:
 
@@ -16,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .geometry import Factor, Fiber, Grid, HomogeneousState, WarpedState
-
-SCENARIO_IDS = ("flat_stationary", "torus_list", "shrinking_sphere",
-                "shrinking_cylinder", "perturbed_cylinder", "perturbed_torus")
 
 
 @dataclass(frozen=True)
@@ -38,17 +37,42 @@ class Scenario:
     amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.id not in SCENARIO_IDS:
+        spec = SCENARIOS.get(self.id)
+        if spec is None:
             raise ValueError(f"unknown scenario id {self.id!r}; "
                              f"expected one of {SCENARIO_IDS}")
         if self.a0 <= 0.0 or self.psi0 <= 0.0:
             raise ValueError("a0 and psi0 must be positive")
         if abs(self.amplitude) >= min(1.0, self.psi0, math.sqrt(self.a0)):
             raise ValueError("perturbation amplitude too large for positivity")
-        if self.id == "shrinking_sphere" and self.n < 2:
-            raise ValueError("shrinking_sphere needs n >= 2")
-        if self.id in ("shrinking_cylinder", "perturbed_cylinder") and self.n < 3:
-            raise ValueError("cylinder scenarios need n >= 3")
+        if not spec.n_min <= self.n <= spec.n_max:
+            rule = f"n = {spec.n_min}" if spec.n_min == spec.n_max else f"n >= {spec.n_min}"
+            raise ValueError(f"scenario {self.id!r} needs {rule}, got n={self.n}")
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """Registry entry: every fact about one named scenario.
+
+    builders maps each representation the scenario has to its closed-form
+    builder; the first one is the default.  A "warped" builder takes
+    (scenario, t, grid x) and returns (f, psi, winding, u); a
+    "homogeneous" builder takes (scenario, t) and returns the factors.
+    """
+
+    fiber: Fiber
+    builders: dict[str, Callable]
+    params: frozenset[str]           # Scenario parameters the builders read
+    defaults: dict                   # Scenario arguments of verify and converge
+    n_min: int = 2
+    n_max: float = math.inf
+    closed_form: bool = True         # False: the builders give t = 0 only
+    singular_time: Callable[[Scenario], float] | None = None
+    study_t: float = 0.2             # horizon of the temporal convergence study
+
+    @property
+    def representations(self) -> tuple[str, ...]:
+        return tuple(self.builders)
 
 
 def _torus_a(scn: Scenario, t: float) -> float:
@@ -56,86 +80,120 @@ def _torus_a(scn: Scenario, t: float) -> float:
     return scn.a0 + scn.alpha * scn.winding**2 * t
 
 
+def _cylinder_psi_sq(scn: Scenario, t: float) -> float:
+    return scn.psi0**2 - 2.0 * (scn.n - 2) * t
+
+
+def _flat_warped(scn, t, x):
+    ones = np.ones(x.size)
+    return ones, ones.copy(), 0, np.zeros(x.size)
+
+
+def _flat_factors(scn, t):
+    return tuple(Factor(1.0, Fiber.FLAT_TORUS, 1) for _ in range(scn.n))
+
+
+def _torus_warped(scn, t, x):
+    ones = np.ones(x.size)
+    return math.sqrt(_torus_a(scn, t)) * ones, ones.copy(), scn.winding, np.zeros(x.size)
+
+
+def _torus_factors(scn, t):
+    return (Factor(_torus_a(scn, t), Fiber.FLAT_TORUS, 1, slope=float(scn.winding)),
+            Factor(1.0, Fiber.FLAT_TORUS, 1))
+
+
+def _sphere_factors(scn, t):
+    return (Factor(scn.a0 - 2.0 * (scn.n - 1) * t, Fiber.ROUND_SPHERE, scn.n),)
+
+
+def _cylinder_warped(scn, t, x):
+    ones = np.ones(x.size)
+    return ones.copy(), math.sqrt(_cylinder_psi_sq(scn, t)) * ones, 0, np.zeros(x.size)
+
+
+def _cylinder_factors(scn, t):
+    return (Factor(1.0, Fiber.FLAT_TORUS, 1),
+            Factor(_cylinder_psi_sq(scn, t), Fiber.ROUND_SPHERE, scn.n - 1))
+
+
+def _perturbed_cylinder_warped(scn, t, x):
+    return np.ones(x.size), scn.psi0 + scn.amplitude * np.sin(x), 0, np.zeros(x.size)
+
+
+def _perturbed_torus_warped(scn, t, x):
+    ones = np.ones(x.size)
+    return (math.sqrt(scn.a0) * ones, ones.copy(), scn.winding,
+            scn.amplitude * np.sin(x))
+
+
+SCENARIOS: dict[str, ScenarioSpec] = {
+    "flat_stationary": ScenarioSpec(
+        Fiber.FLAT_TORUS, {"warped": _flat_warped, "homogeneous": _flat_factors},
+        params=frozenset(), defaults=dict(n=4, alpha=1.0), study_t=0.5),
+    "torus_list": ScenarioSpec(
+        Fiber.FLAT_TORUS, {"warped": _torus_warped, "homogeneous": _torus_factors},
+        params=frozenset({"a0", "winding"}), defaults=dict(n=2, alpha=1.0), n_max=2),
+    "shrinking_sphere": ScenarioSpec(
+        Fiber.ROUND_SPHERE, {"homogeneous": _sphere_factors},
+        params=frozenset({"a0"}), defaults=dict(n=3, alpha=1.0),
+        singular_time=lambda scn: scn.a0 / (2.0 * (scn.n - 1))),
+    "shrinking_cylinder": ScenarioSpec(
+        Fiber.ROUND_SPHERE, {"warped": _cylinder_warped, "homogeneous": _cylinder_factors},
+        params=frozenset({"psi0"}), defaults=dict(n=4, alpha=1.0), n_min=3,
+        singular_time=lambda scn: scn.psi0**2 / (2.0 * (scn.n - 2))),
+    "perturbed_cylinder": ScenarioSpec(
+        Fiber.ROUND_SPHERE, {"warped": _perturbed_cylinder_warped},
+        params=frozenset({"psi0", "amplitude"}),
+        defaults=dict(n=4, alpha=1.0, amplitude=0.05), n_min=3, closed_form=False),
+    "perturbed_torus": ScenarioSpec(
+        Fiber.FLAT_TORUS, {"warped": _perturbed_torus_warped},
+        params=frozenset({"a0", "winding", "amplitude"}),
+        defaults=dict(n=2, alpha=1.0, amplitude=0.1), n_max=2, closed_form=False),
+}
+
+SCENARIO_IDS = tuple(SCENARIOS)
+
+
+def default_scenario(scenario_id: str) -> Scenario:
+    """The scenario with the parameters the verify suite and converge use."""
+    return Scenario(scenario_id, **SCENARIOS[scenario_id].defaults)
+
+
 def singular_time(scn: Scenario) -> float | None:
     """Blow-up time of the closed-form solution, or None (no blow-up or
     no closed form)."""
-    if scn.id == "shrinking_sphere":
-        return scn.a0 / (2.0 * (scn.n - 1))
-    if scn.id == "shrinking_cylinder":
-        return scn.psi0**2 / (2.0 * (scn.n - 2))
-    return None
+    rule = SCENARIOS[scn.id].singular_time
+    return None if rule is None else rule(scn)
 
 
-def _check_time(scn: Scenario, t: float):
+def exact_state(scn: Scenario, t: float, m: int = 64, representation: str | None = None):
+    """Closed-form state at time t (grid of m points for warped states) in
+    the given representation; None selects the scenario's default."""
+    spec = SCENARIOS[scn.id]
+    representation = representation or spec.representations[0]
+    if representation not in spec.builders:
+        raise ValueError(f"scenario {scn.id!r} has no {representation} representation")
     t_sing = singular_time(scn)
     if t_sing is not None and t >= t_sing:
         raise ValueError(f"t={t} is at or past the singular time {t_sing}")
+    if t != 0.0 and not spec.closed_form:
+        raise ValueError(f"scenario {scn.id!r} has no closed form for t > 0")
+    build = spec.builders[representation]
+    if representation == "homogeneous":
+        return HomogeneousState(scn.n, scn.alpha, build(scn, t), t)
+    f, psi, winding, u = build(scn, t, Grid(m).x)
+    return WarpedState(scn.n, spec.fiber, scn.alpha, f, psi, winding, u, t)
 
 
 def exact_warped_state(scn: Scenario, t: float, m: int = 64) -> WarpedState:
     """Closed-form warped state at time t (grid of m points)."""
-    _check_time(scn, t)
-    x = Grid(m).x
-    ones = np.ones(m)
-    if scn.id == "flat_stationary":
-        return WarpedState(scn.n, Fiber.FLAT_TORUS, scn.alpha, ones, ones.copy(), 0,
-                           np.zeros(m), t)
-    if scn.id == "torus_list":
-        if scn.n != 2:
-            raise ValueError("the warped torus_list representation uses n=2")
-        f = math.sqrt(_torus_a(scn, t)) * ones
-        return WarpedState(2, Fiber.FLAT_TORUS, scn.alpha, f, ones.copy(),
-                           scn.winding, np.zeros(m), t)
-    if scn.id == "shrinking_cylinder":
-        psi = math.sqrt(scn.psi0**2 - 2.0 * (scn.n - 2) * t) * ones
-        return WarpedState(scn.n, Fiber.ROUND_SPHERE, scn.alpha, ones.copy(), psi, 0,
-                           np.zeros(m), t)
-    if scn.id == "perturbed_cylinder":
-        if t != 0.0:
-            raise ValueError(f"scenario {scn.id!r} has no closed form for t > 0")
-        psi = scn.psi0 + scn.amplitude * np.sin(x)
-        return WarpedState(scn.n, Fiber.ROUND_SPHERE, scn.alpha, ones.copy(), psi, 0,
-                           np.zeros(m), 0.0)
-    if scn.id == "perturbed_torus":
-        if t != 0.0:
-            raise ValueError(f"scenario {scn.id!r} has no closed form for t > 0")
-        f = math.sqrt(scn.a0) * ones
-        u = scn.amplitude * np.sin(x)
-        return WarpedState(2, Fiber.FLAT_TORUS, scn.alpha, f, ones.copy(),
-                           scn.winding, u, 0.0)
-    raise ValueError(f"scenario {scn.id!r} has no warped representation")
+    return exact_state(scn, t, m, "warped")
 
 
 def exact_homogeneous_state(scn: Scenario, t: float) -> HomogeneousState:
     """Closed-form homogeneous state at time t."""
-    _check_time(scn, t)
-    if scn.id == "flat_stationary":
-        factors = tuple(Factor(1.0, Fiber.FLAT_TORUS, 1) for _ in range(scn.n))
-        return HomogeneousState(scn.n, scn.alpha, factors, t)
-    if scn.id == "torus_list":
-        if scn.n != 2:
-            raise ValueError("the homogeneous torus_list representation uses n=2")
-        factors = (Factor(_torus_a(scn, t), Fiber.FLAT_TORUS, 1, slope=float(scn.winding)),
-                   Factor(1.0, Fiber.FLAT_TORUS, 1))
-        return HomogeneousState(2, scn.alpha, factors, t)
-    if scn.id == "shrinking_sphere":
-        a = scn.a0 - 2.0 * (scn.n - 1) * t
-        return HomogeneousState(scn.n, scn.alpha,
-                                (Factor(a, Fiber.ROUND_SPHERE, scn.n),), t)
-    if scn.id == "shrinking_cylinder":
-        psi_sq = scn.psi0**2 - 2.0 * (scn.n - 2) * t
-        factors = (Factor(1.0, Fiber.FLAT_TORUS, 1),
-                   Factor(psi_sq, Fiber.ROUND_SPHERE, scn.n - 1))
-        return HomogeneousState(scn.n, scn.alpha, factors, t)
-    raise ValueError(f"scenario {scn.id!r} has no homogeneous representation")
-
-
-def exact_state(scn: Scenario, t: float, m: int = 64):
-    """Closed-form state at time t: warped where the ansatz applies,
-    homogeneous for the round sphere."""
-    if scn.id == "shrinking_sphere":
-        return exact_homogeneous_state(scn, t)
-    return exact_warped_state(scn, t, m)
+    return exact_state(scn, t, representation="homogeneous")
 
 
 def initial_state(scn: Scenario, m: int = 64):

@@ -8,7 +8,7 @@ chosen so checkpointed state round-trips bit-exactly for resume.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +18,18 @@ from . import __version__
 from .analysis import MonitorState
 from .flow import FlowConfig, Trajectory
 from .geometry import Factor, Fiber, HomogeneousState, State, WarpedState
-from .oracles import SCENARIO_IDS, Scenario
+from .oracles import SCENARIO_IDS, SCENARIOS, Scenario
 
 SERIES_FIELDS = ("t", "min_s", "max_s", "max_grad_phi_sq", "max_ric", "max_rm",
                  "grad_margin", "phi_min", "phi_max", "length", "volume",
                  "volume_integrand", "distortion_rate", "acc_r", "acc_w")
 
-_CONFIG_KEYS = {"scenario", "n", "alpha", "t_end", "representation", "m", "c_cfl",
-                "dt", "blowup_threshold", "rate_limit", "output_every",
-                "snapshot_every", "eps0", "monitors", "params"}
+# Config keys: FlowConfig's fields, whose defaults fill in every key a
+# file leaves out, except the fiber (a scenario fact), plus the
+# representation.
+_CONFIG_KEYS = {fld.name for fld in fields(FlowConfig)} - {"fiber"} | {"representation"}
 _REQUIRED_KEYS = ("scenario", "n", "alpha", "t_end")
-_PARAM_KEYS = {"a0", "psi0", "winding", "amplitude"}
+_NUMBER = {"int": int, "float": float, "float | None": float}
 
 
 class ConfigError(ValueError):
@@ -43,8 +44,24 @@ class CheckpointError(RuntimeError):
 # config
 
 
+def _typed(cls, values: dict) -> dict:
+    """values with each entry converted to the int or float that the
+    dataclass cls annotates for it (YAML reads 1e-3 as a string); None
+    stays None where the annotation allows it."""
+    kinds = {fld.name: fld.type for fld in fields(cls)}
+    out = {}
+    for key, value in values.items():
+        kind = kinds[key]
+        if kind in _NUMBER and not (value is None and kind.endswith("None")):
+            value = _NUMBER[kind](value)
+        out[key] = value
+    return out
+
+
 def parse_config(raw: dict) -> tuple[FlowConfig, Scenario, str]:
-    """Validate a config mapping and build the run objects."""
+    """Validate a config mapping and build the run objects.  The scenario's
+    registry entry gives the fiber, the allowed representations and
+    parameters; keys the mapping leaves out take FlowConfig's defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of keys to values")
     unknown = set(raw) - _CONFIG_KEYS
@@ -56,57 +73,35 @@ def parse_config(raw: dict) -> tuple[FlowConfig, Scenario, str]:
     scenario_id = raw["scenario"]
     if scenario_id not in SCENARIO_IDS:
         raise ConfigError(f"unknown scenario {scenario_id!r}; expected one of {SCENARIO_IDS}")
+    spec = SCENARIOS[scenario_id]
 
     params = raw.get("params") or {}
     if not isinstance(params, dict):
         raise ConfigError("config field 'params' must be a mapping")
-    unknown = set(params) - _PARAM_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scenario parameter {sorted(unknown)[0]!r}")
+    unread = set(params) - spec.params
+    if unread:
+        raise ConfigError(f"scenario {scenario_id!r} does not read parameter "
+                          f"{sorted(unread)[0]!r}; it reads {sorted(spec.params)}")
 
     try:
-        scn = Scenario(id=scenario_id, n=int(raw["n"]), alpha=float(raw["alpha"]),
-                       **{k: type_of(k)(v) for k, v in params.items()})
+        scn = Scenario(scenario_id, **_typed(Scenario, dict(params, n=raw["n"],
+                                                            alpha=raw["alpha"])))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario parameters: {exc}") from exc
 
-    representation = raw.get("representation", "warped")
-    if scenario_id == "shrinking_sphere":
-        representation = "homogeneous"
-    if representation not in ("warped", "homogeneous"):
-        raise ConfigError(f"representation must be 'warped' or 'homogeneous', "
-                          f"got {representation!r}")
-    if representation == "homogeneous" and scenario_id.startswith("perturbed"):
-        raise ConfigError(f"scenario {scenario_id!r} has no homogeneous representation")
+    representation = raw.get("representation", spec.representations[0])
+    if representation not in spec.representations:
+        raise ConfigError(f"scenario {scenario_id!r} has no {representation!r} "
+                          f"representation; it has {spec.representations}")
 
-    fiber = Fiber.ROUND_SPHERE if "cylinder" in scenario_id or scenario_id == "shrinking_sphere" \
-        else Fiber.FLAT_TORUS
+    settings = {key: raw[key] for key in raw if key not in ("representation", "params")}
+    settings.update(n=scn.n, alpha=scn.alpha)
     try:
-        cfg = FlowConfig(
-            scenario=scenario_id,
-            n=scn.n,
-            alpha=scn.alpha,
-            fiber=fiber,
-            m=int(raw.get("m", 64)),
-            c_cfl=float(raw.get("c_cfl", 0.1)),
-            dt=None if raw.get("dt") is None else float(raw["dt"]),
-            t_end=float(raw["t_end"]),
-            blowup_threshold=float(raw.get("blowup_threshold", 1e6)),
-            rate_limit=float(raw.get("rate_limit", 0.05)),
-            output_every=int(raw.get("output_every", 1)),
-            snapshot_every=int(raw.get("snapshot_every", 0)),
-            eps0=float(raw.get("eps0", 1e-8)),
-            monitors=None if raw.get("monitors") is None
-            else tuple(str(x) for x in raw["monitors"]),
-            params=dict(params),
-        )
+        cfg = FlowConfig(**_typed(FlowConfig, settings), fiber=spec.fiber,
+                         params=dict(params))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     return cfg, scn, representation
-
-
-def type_of(param: str):
-    return int if param == "winding" else float
 
 
 def load_config(path) -> tuple[FlowConfig, Scenario, str]:
@@ -228,7 +223,7 @@ def load_checkpoint(path, expected_scenario: str | None = None):
         raise
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if vals.shape != (8,) or not np.all(np.isfinite(vals[:2])):
+    if vals.shape != (8,) or not np.all(np.isfinite(vals)):
         raise CheckpointError(f"checkpoint {path} has malformed monitor state")
     if expected_scenario is not None and scenario != expected_scenario:
         raise CheckpointError(f"checkpoint scenario {scenario!r} does not match "

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
+from .convergence import state_error
 from .flow import FlowConfig, Trajectory, run
 from .geometry import WarpedState
-from .oracles import Scenario, exact_state, singular_time
-
-EPS0 = 1e-8
+from .oracles import SCENARIOS, Scenario, default_scenario, exact_state, singular_time
 
 
 @dataclass
@@ -61,7 +60,7 @@ class VerifyReport:
 
 
 def _cfg(scn: Scenario, **kw) -> FlowConfig:
-    base = dict(scenario=scn.id, n=scn.n, alpha=scn.alpha)
+    base = dict(scenario=scn.id, n=scn.n, alpha=scn.alpha, fiber=SCENARIOS[scn.id].fiber)
     base.update(kw)
     return FlowConfig(**base)
 
@@ -69,71 +68,48 @@ def _cfg(scn: Scenario, **kw) -> FlowConfig:
 def build_suite() -> dict[str, SuiteCase]:
     suite: dict[str, SuiteCase] = {}
 
-    scn = Scenario("flat_stationary", n=4, alpha=1.0)
-    suite[scn.id] = SuiteCase(
-        scn, "warped", "reached_t_end",
+    def add(scn: Scenario, expected_termination: str, **kw):
+        suite[scn.id] = SuiteCase(scn, SCENARIOS[scn.id].representations[0],
+                                  expected_termination, **kw)
+
+    scn = default_scenario("flat_stationary")
+    add(scn, "reached_t_end",
         main=_cfg(scn, m=32, dt=2e-3, t_end=0.5, output_every=25),
         uniform=_cfg(scn, m=32, dt=2e-3, t_end=0.1, output_every=1),
         s_evolution_tol=1e-12, volume_residual_tol=1e-12, state_error_tol=1e-12)
 
-    scn = Scenario("torus_list", n=2, alpha=1.0, a0=1.0, winding=1)
-    suite[scn.id] = SuiteCase(
-        scn, "warped", "reached_t_end",
+    scn = default_scenario("torus_list")
+    add(scn, "reached_t_end",
         main=_cfg(scn, m=32, dt=1e-3, t_end=1.0, output_every=20),
         uniform=_cfg(scn, m=32, dt=5e-4, t_end=0.1, output_every=1),
         s_evolution_tol=1e-6, volume_residual_tol=1e-6, state_error_tol=1e-6)
 
-    scn = Scenario("shrinking_sphere", n=3, alpha=1.0)
-    suite[scn.id] = SuiteCase(
-        scn, "homogeneous", "blowup_threshold",
+    scn = default_scenario("shrinking_sphere")
+    add(scn, "blowup_threshold",
         main=_cfg(scn, dt=1e-3, t_end=0.3, output_every=5),
         uniform=_cfg(scn, dt=5e-4, t_end=0.1, output_every=1),
         s_evolution_tol=5e-3, volume_residual_tol=1e-5, state_error_tol=1e-9)
 
-    scn = Scenario("shrinking_cylinder", n=4, alpha=1.0, psi0=1.0)
-    suite[scn.id] = SuiteCase(
-        scn, "warped", "blowup_threshold",
+    scn = default_scenario("shrinking_cylinder")
+    add(scn, "blowup_threshold",
         main=_cfg(scn, m=32, dt=1e-3, t_end=0.3, output_every=2),
         uniform=_cfg(scn, m=32, dt=5e-4, t_end=0.1, output_every=1),
         extras={"norms": _cfg(scn, m=32, dt=1e-3, t_end=0.2, output_every=1)},
         s_evolution_tol=5e-3, volume_residual_tol=1e-5, state_error_tol=1e-6)
 
-    scn = Scenario("perturbed_cylinder", n=4, alpha=1.0, psi0=1.0, winding=0,
-                   amplitude=0.05)
-    suite[scn.id] = SuiteCase(
-        scn, "warped", "blowup_threshold",
+    scn = default_scenario("perturbed_cylinder")
+    add(scn, "blowup_threshold",
         main=_cfg(scn, m=64, t_end=0.3, output_every=5),
         uniform=_cfg(scn, m=64, dt=4e-4, t_end=0.1, output_every=2),
         s_evolution_tol=5e-2, volume_residual_tol=1e-4)
 
-    scn = Scenario("perturbed_torus", n=2, alpha=1.0, a0=1.0, winding=1,
-                   amplitude=0.1)
-    suite[scn.id] = SuiteCase(
-        scn, "warped", "reached_t_end",
+    scn = default_scenario("perturbed_torus")
+    add(scn, "reached_t_end",
         main=_cfg(scn, m=64, dt=4e-4, t_end=0.5, output_every=10),
         uniform=_cfg(scn, m=64, dt=4e-4, t_end=0.1, output_every=2),
         s_evolution_tol=5e-2, volume_residual_tol=1e-4)
 
     return suite
-
-
-def _initial(case: SuiteCase, config: FlowConfig):
-    from .oracles import exact_homogeneous_state, exact_warped_state
-    if case.representation == "homogeneous":
-        return exact_homogeneous_state(case.scenario, 0.0)
-    return exact_warped_state(case.scenario, 0.0, config.m)
-
-
-def _state_rel_error(state, exact) -> float:
-    if isinstance(state, WarpedState):
-        pairs = ((state.f, exact.f), (state.psi, exact.psi), (state.u, exact.u))
-    else:
-        pairs = ((state.coefficients(), exact.coefficients()),)
-    worst = 0.0
-    for got, want in pairs:
-        worst = max(worst, float(np.max(np.abs(got - want))) /
-                    (1.0 + float(np.max(np.abs(want)))))
-    return worst
 
 
 def _cylinder_norm_closed_form(scn: Scenario, t: float) -> float:
@@ -158,14 +134,14 @@ def evaluate_case(case: SuiteCase) -> tuple[list[CheckRow], dict[str, Trajectory
         rows.append(CheckRow(scn.id, check, None if value is None else float(value),
                              threshold, op, bool(ok), note))
 
-    main = run(case.main, _initial(case, case.main))
+    main = run(case.main, exact_state(scn, 0.0, case.main.m, case.representation))
     trajs["main"] = main
     add("termination", main.termination == case.expected_termination, "==", None,
         f"expected {case.expected_termination}, got {main.termination}")
 
     add("min_s_monotone", analysis.check_min_S_monotone(main), "<=", 1e-8)
     add("gradient_margin", analysis.check_gradient_bound(main), ">=", -1e-8)
-    add("distortion_excess", analysis.check_metric_distortion(main), "<=", EPS0)
+    add("distortion_excess", analysis.check_metric_distortion(main), "<=", analysis.EPS0)
     _, vol_margin = analysis.check_volume_evolution(main)
     add("volume_lower_bound", vol_margin, ">=", -1e-10)
 
@@ -178,7 +154,7 @@ def evaluate_case(case: SuiteCase) -> tuple[list[CheckRow], dict[str, Trajectory
         add("phi_max_principle", phi_viol, "<=", 1e-8 * osc0 + 1e-12)
 
     if case.uniform is not None:
-        uni = run(case.uniform, _initial(case, case.uniform))
+        uni = run(case.uniform, exact_state(scn, 0.0, case.uniform.m, case.representation))
         trajs["uniform"] = uni
         add("s_evolution_residual", analysis.monitor_S_evolution(uni), "<=",
             case.s_evolution_tol)
@@ -196,7 +172,7 @@ def evaluate_case(case: SuiteCase) -> tuple[list[CheckRow], dict[str, Trajectory
         for rec in source.records:
             m = rec.state.m if isinstance(rec.state, WarpedState) else None
             exact = exact_state(scn, rec.t, m) if m else exact_state(scn, rec.t)
-            worst = max(worst, _state_rel_error(rec.state, exact))
+            worst = max(worst, state_error(rec.state, exact))
         add("state_vs_exact", worst, "<=", case.state_error_tol)
 
     if scn.id in ("flat_stationary", "torus_list"):
@@ -216,7 +192,8 @@ def evaluate_case(case: SuiteCase) -> tuple[list[CheckRow], dict[str, Trajectory
         add("s_min_closed_form", worst, "<=", 1e-9)
 
     if scn.id == "shrinking_cylinder":
-        norms_run = run(case.extras["norms"], _initial(case, case.extras["norms"]))
+        norms_cfg = case.extras["norms"]
+        norms_run = run(norms_cfg, exact_state(scn, 0.0, norms_cfg.m, case.representation))
         trajs["norms"] = norms_run
         nr, _ = analysis.spacetime_norms(norms_run)
         want = _cylinder_norm_closed_form(scn, norms_run.final_t)

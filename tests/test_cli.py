@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import rhflow.flow
@@ -99,6 +100,26 @@ def test_parse_config_validation():
         parse_config({"scenario": "perturbed_torus", "n": 2, "alpha": 1.0,
                       "t_end": 1.0, "representation": "homogeneous",
                       "params": {"amplitude": 0.1}})
+    for scenario, n in (("torus_list", 3), ("perturbed_torus", 5), ("flat_stationary", 1)):
+        with pytest.raises(ConfigError, match=f"needs n .* got n={n}"):
+            parse_config({"scenario": scenario, "n": n, "alpha": 1.0, "t_end": 1.0})
+    for scenario, param in (("perturbed_cylinder", "winding"), ("shrinking_cylinder", "a0")):
+        with pytest.raises(ConfigError, match=f"does not read parameter '{param}'"):
+            parse_config({"scenario": scenario, "n": 4, "alpha": 1.0, "t_end": 1.0,
+                          "params": {param: 3}})
+
+
+@pytest.mark.parametrize("text", [
+    "scenario: torus_list\nn: 3\nalpha: 1.0\nt_end: 0.1\n",
+    "scenario: perturbed_cylinder\nn: 4\nalpha: 1.0\nt_end: 0.1\nparams:\n  winding: 3\n",
+    CYLINDER_CONFIG.replace("blowup_threshold: 1.0e6", "blowup_threshold: 1.0"),
+], ids=["torus_list_n3", "unread_winding", "threshold_below_initial_rm"])
+def test_bad_scenario_input_exits_2_without_output(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -135,6 +156,12 @@ def test_resume_corrupt_checkpoint(tmp_path, capsys):
     cfg = write_config(tmp_path, CYLINDER_CONFIG)
     out = tmp_path / "out"
     main(["run", str(cfg), "-o", str(out), "--max-steps", "50"])
+    with np.load(out / "checkpoint.npz") as data:
+        arrays = dict(data)
+    arrays["mon"][2] = np.nan  # acc_r
+    np.savez(out / "checkpoint.npz", **arrays)
+    assert main(["resume", str(out)]) == 2
+    assert "checkpoint error" in capsys.readouterr().err
     (out / "checkpoint.npz").write_bytes(b"not a checkpoint")
     assert main(["resume", str(out)]) == 2
     assert "checkpoint" in capsys.readouterr().err.lower()

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rhflow.convergence import spatial_study, temporal_study
-from rhflow.flow import FlowConfig, StepError, rhs, rhs_homogeneous, run, \
-    run_homogeneous, step
+from rhflow.flow import FlowConfig, StepError, rhs, rhs_homogeneous, run, step
 from rhflow.geometry import Factor, Fiber, Grid, HomogeneousState, WarpedState, \
     scale_state
 from rhflow.oracles import Scenario, exact_homogeneous_state, exact_warped_state
@@ -111,7 +110,7 @@ def test_run_homogeneous_sphere():
     scn = Scenario("shrinking_sphere", 3, 0.0)
     cfg = FlowConfig(scenario=scn.id, n=3, alpha=0.0, dt=1e-3, t_end=0.125,
                      output_every=25)
-    traj = run_homogeneous(cfg, exact_homogeneous_state(scn, 0.0))
+    traj = run(cfg, exact_homogeneous_state(scn, 0.0))
     # da/dt is constant, so RK4 is exact: a(t) = 1 - 4t
     assert traj.final_state.coefficients()[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -120,7 +119,7 @@ def test_run_homogeneous_torus_exact():
     scn = Scenario("torus_list", 2, 1.0, winding=1)
     cfg = FlowConfig(scenario=scn.id, n=2, alpha=1.0, dt=1e-2, t_end=1.0,
                      output_every=25)
-    traj = run_homogeneous(cfg, exact_homogeneous_state(scn, 0.0))
+    traj = run(cfg, exact_homogeneous_state(scn, 0.0))
     assert traj.final_state.coefficients()[0] == pytest.approx(2.0, abs=1e-12)
     assert traj.final_state.coefficients()[1] == pytest.approx(1.0, abs=0.0)
 
@@ -130,7 +129,7 @@ def test_run_homogeneous_all_flat_constant():
                                            for _ in range(3)))
     cfg = FlowConfig(scenario="flat_stationary", n=3, alpha=1.0, dt=0.05,
                      t_end=1.0, output_every=5)
-    traj = run_homogeneous(cfg, state)
+    traj = run(cfg, state)
     assert traj.termination == "reached_t_end"
     assert np.array_equal(traj.final_state.coefficients(), state.coefficients())
 

@@ -3,8 +3,12 @@ import pytest
 
 from rhflow.flow import rhs, rhs_homogeneous
 from rhflow.geometry import WarpedState
-from rhflow.oracles import (Scenario, exact_homogeneous_state, exact_state,
-                            exact_warped_state, initial_state, singular_time)
+from rhflow.cli import build_parser
+from rhflow.oracles import (SCENARIO_IDS, SCENARIOS, Scenario, default_scenario,
+                            exact_homogeneous_state, exact_state, exact_warped_state,
+                            initial_state, singular_time)
+from rhflow.runio import ConfigError, parse_config
+from rhflow.verification import build_suite
 
 # five-point first-derivative stencil in time, error O(delta^4)
 _FD = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
@@ -108,3 +112,29 @@ def test_scenario_validation():
         Scenario("bogus", 4, 1.0)
     with pytest.raises(ValueError, match="amplitude"):
         Scenario("perturbed_cylinder", 4, 1.0, amplitude=1.5)
+    for scenario, n, rule in (("torus_list", 3, "n = 2"), ("perturbed_torus", 5, "n = 2"),
+                              ("flat_stationary", 1, "n >= 2"),
+                              ("shrinking_cylinder", 2, "n >= 3")):
+        with pytest.raises(ValueError, match=f"{rule}, got n={n}"):
+            Scenario(scenario, n, 1.0)
+
+
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_registry_entry(sid):
+    spec = SCENARIOS[sid]
+    scn = default_scenario(sid)
+    for representation in spec.representations:
+        state = exact_state(scn, 0.0, 16, representation)
+        assert state.n == scn.n
+        fiber = state.fiber if isinstance(state, WarpedState) else state.factors[-1].kind
+        assert fiber is spec.fiber
+    raw = {"scenario": sid, "n": scn.n, "alpha": 1.0, "t_end": 0.1}
+    cfg, _, representation = parse_config(raw)
+    assert (cfg.fiber, representation) == (spec.fiber, spec.representations[0])
+    for representation in {"warped", "homogeneous"} - set(spec.representations):
+        with pytest.raises(ConfigError, match=f"no '{representation}' representation"):
+            parse_config(dict(raw, representation=representation))
+    assert tuple(build_suite()) == SCENARIO_IDS
+    assert build_parser().parse_args(["converge", sid]).scenario == sid
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["converge", sid + "_x"])
