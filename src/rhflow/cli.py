@@ -90,14 +90,16 @@ def cmd_resume(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        state, steps, monitor_state = runio.load_checkpoint(outdir / "checkpoint.npz",
-                                                            expected_scenario=config.scenario)
+        state, steps, monitor_state = runio.load_checkpoint(outdir / "checkpoint.npz", config)
     except runio.CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 2
-
-    traj = run(config, state, steps_done=steps, monitor_state=monitor_state,
-               stop_after_steps=args.max_steps)
+    try:
+        traj = run(config, state, steps_done=steps, monitor_state=monitor_state,
+                   stop_after_steps=args.max_steps)
+    except ValueError as exc:  # a blowup_threshold the checkpoint already exceeds
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     files = _write_outputs(outdir, config, traj, append=True)
     return _finalize(outdir, config, representation, traj, files)
 

@@ -20,7 +20,13 @@ map slope w grow at da/dt = alpha w^2.
 Integration is classical four-stage Runge-Kutta with the parabolic
 step bound dt <= c_cfl * min(f h)^2, a relative-change rate limiter for
 the approach to blow-up, and a halve-and-retry policy on steps that
-produce non-finite values or lose positivity of f or psi.
+produce non-finite values or lose positivity of f or psi.  Steps are
+first-same-as-last: the curvature fields of each accepted state, which
+the blow-up test and the monitors need anyway, give the next k1 through
+the derivative kernel that rhs uses, so k1 equals rhs(state) bit for
+bit.  The other three stages are bare arrays passed to rhs; a stage with
+f or psi not positive rejects the step.  Only the accepted state is
+built, and validated, as a WarpedState.
 """
 from __future__ import annotations
 
@@ -29,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import EPS0, MonitorRecord, MonitorState, make_monitor_record
-from .geometry import (Fiber, HomogeneousState, State, WarpedState, curvature_fields)
+from .geometry import (Fiber, HomogeneousState, State, WarpedState, curvature_fields,
+                       warped_terms)
 
 TERMINATION_REASONS = ("reached_t_end", "blowup_threshold", "nonfinite")
 
@@ -121,25 +128,30 @@ class Trajectory:
 # right-hand sides
 
 
-def rhs(state: WarpedState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time derivatives (df/dt, dpsi/dt, du/dt) of a warped state."""
+def _warped_rates(state: WarpedState, f, psi, k_rad, k_fib, grad_phi_sq, lap_phi):
+    """(df/dt, dpsi/dt, du/dt) = (-f (lam0 - (alpha/2)|grad phi|^2),
+    -psi lam1, Lap phi) from the derivative kernel's terms."""
     n = state.n
-    h = state.h
-    c = state.fiber_curvature
+    lam0 = (n - 1) * k_rad
+    lam1 = k_rad + (n - 2) * k_fib
+    return (-f * (lam0 - _COUPLING_SIGN * 0.5 * state.alpha * grad_phi_sq),
+            -psi * lam1, lap_phi)
 
-    def ds(values):
-        return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * h * state.f)
 
-    psi_s = ds(state.psi)
-    psi_ss = ds(psi_s)
-    phi_s = (state.winding + (np.roll(state.u, -1) - np.roll(state.u, 1)) / (2.0 * h)) / state.f
-    phi_ss = ds(phi_s)
+def rhs(state: WarpedState, y=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time derivatives (df/dt, dpsi/dt, du/dt) of a warped state, or of
+    RK stage arrays y = (f, psi, u) on its grid with its parameters."""
+    f, psi, u = (state.f, state.psi, state.u) if y is None else y
+    terms = warped_terms(state.n, state.fiber_curvature, state.h, f, psi, u, state.winding)
+    return _warped_rates(state, f, psi, *terms)
 
-    df = state.f * ((n - 1) * psi_ss / state.psi
-                    + _COUPLING_SIGN * 0.5 * state.alpha * phi_s**2)
-    dpsi = psi_ss - (n - 2) * (c - psi_s**2) / state.psi
-    du = phi_ss + (n - 1) * (psi_s / state.psi) * phi_s
-    return df, dpsi, du
+
+def _k1_from_fields(state: State, fields):
+    """rhs(state), bit for bit, from the state's curvature fields."""
+    if isinstance(state, WarpedState):
+        return _warped_rates(state, state.f, state.psi, fields.k_rad, fields.k_fib,
+                             fields.grad_phi_sq, fields.lap_phi)
+    return rhs_homogeneous(state)
 
 
 def rhs_homogeneous(state: HomogeneousState) -> np.ndarray:
@@ -160,24 +172,25 @@ def rhs_homogeneous(state: HomogeneousState) -> np.ndarray:
 
 
 def _rk4_warped(state: WarpedState, dt: float, k1=None) -> WarpedState:
-    # State construction validates positivity, so a sick intermediate
-    # stage raises ValueError; callers treat that as step rejection.
-    def at(f, psi, u, t):
-        return WarpedState(state.n, state.fiber, state.alpha, f, psi,
-                           state.winding, u, t)
-
-    if k1 is None:
-        k1 = rhs(state)
-    k2 = rhs(at(state.f + 0.5 * dt * k1[0], state.psi + 0.5 * dt * k1[1],
-                state.u + 0.5 * dt * k1[2], state.t))
-    k3 = rhs(at(state.f + 0.5 * dt * k2[0], state.psi + 0.5 * dt * k2[1],
-                state.u + 0.5 * dt * k2[2], state.t))
-    k4 = rhs(at(state.f + dt * k3[0], state.psi + dt * k3[1],
-                state.u + dt * k3[2], state.t))
-    return at(state.f + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-              state.psi + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-              state.u + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-              state.t + dt)
+    # Stages are bare arrays, checked only for positivity of f and psi
+    # (a NaN fails it too; an infinite value makes the result non-finite).
+    # A failing stage and a result that WarpedState rejects both raise
+    # ValueError, which callers treat as step rejection.
+    y0 = (state.f, state.psi, state.u)
+    ks = [rhs(state) if k1 is None else k1]
+    for c in (0.5, 0.5, 1.0):
+        y = tuple(a + c * dt * k for a, k in zip(y0, ks[-1]))
+        if not (y[0].min() > 0.0 and y[1].min() > 0.0):
+            raise ValueError("an RK stage lost positivity of f or psi")
+        ks.append(rhs(state, y))
+    k1, k2, k3, k4 = ks
+    return WarpedState(
+        state.n, state.fiber, state.alpha,
+        state.f + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        state.psi + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        state.winding,
+        state.u + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+        state.t + dt)
 
 
 def _rk4_homogeneous(state: HomogeneousState, dt: float, k1=None) -> HomogeneousState:
@@ -192,20 +205,17 @@ def _rk4_homogeneous(state: HomogeneousState, dt: float, k1=None) -> Homogeneous
 
 
 def _finite(state: State) -> bool:
-    if isinstance(state, WarpedState):
-        return bool(np.all(np.isfinite(state.f)) and np.all(np.isfinite(state.psi))
-                    and np.all(np.isfinite(state.u)))
-    return bool(np.all(np.isfinite(state.coefficients())))
+    warped = isinstance(state, WarpedState)
+    return bool(np.all(np.isfinite((state.f, state.psi, state.u) if warped
+                                   else state.coefficients())))
 
 
 def _try_step(state: State, dt: float, k1=None):
     """RK4 attempt; returns the new state, or None when rejected."""
     with np.errstate(all="ignore"):
         try:
-            if isinstance(state, WarpedState):
-                new = _rk4_warped(state, dt, k1)
-            else:
-                new = _rk4_homogeneous(state, dt, k1)
+            rk4 = _rk4_warped if isinstance(state, WarpedState) else _rk4_homogeneous
+            new = rk4(state, dt, k1)
         except ValueError:
             return None
     return new if _finite(new) else None
@@ -237,11 +247,6 @@ def _dt_bound(state: State, config: FlowConfig, k1) -> float:
         if fastest > 0.0:
             bounds.append(config.rate_limit / fastest)
     return min(bounds)
-
-
-def _k1_finite(k1) -> bool:
-    parts = k1 if isinstance(k1, tuple) else (k1,)
-    return all(np.all(np.isfinite(part)) for part in parts)
 
 
 def run(config: FlowConfig, initial: State, *,
@@ -276,8 +281,8 @@ def run(config: FlowConfig, initial: State, *,
 
     while state.t < t_end - tol:
         with np.errstate(all="ignore"):
-            k1 = rhs(state) if isinstance(state, WarpedState) else rhs_homogeneous(state)
-        if not _k1_finite(k1):
+            k1 = _k1_from_fields(state, fields)
+        if not np.all(np.isfinite(k1)):
             termination = "nonfinite"
             break
         dt = min(_dt_bound(state, config, k1), t_end - state.t)

@@ -72,7 +72,10 @@ class Grid:
 
 def dx_periodic(values: np.ndarray, h: float) -> np.ndarray:
     """Second-order central difference d/dx on the periodic grid."""
-    return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * h)
+    out = np.empty(np.shape(values))
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    out[0], out[-1] = values[1] - values[-1], values[0] - values[-2]
+    return np.divide(out, 2.0 * h, out=out)
 
 
 def _check_finite(name: str, values: np.ndarray):
@@ -124,10 +127,6 @@ class WarpedState:
     @property
     def m(self) -> int:
         return self.f.size
-
-    @property
-    def grid(self) -> Grid:
-        return Grid(self.m)
 
     @property
     def h(self) -> float:
@@ -248,17 +247,13 @@ class CurvatureFields:
         return float(np.max(self.ric_op))
 
 
-def s_derivative(state: WarpedState, values: np.ndarray) -> np.ndarray:
-    """Arclength derivative (1/f) d/dx of a periodic grid function."""
-    return dx_periodic(values, state.h) / state.f
-
-
 def laplacian(state: WarpedState, values: np.ndarray) -> np.ndarray:
     """Laplace-Beltrami operator on x-only scalars:
     v_ss + (n-1)(psi_s/psi) v_s."""
-    v_s = s_derivative(state, values)
-    v_ss = s_derivative(state, v_s)
-    psi_s = s_derivative(state, state.psi)
+    h, f = state.h, state.f
+    v_s = dx_periodic(values, h) / f
+    v_ss = dx_periodic(v_s, h) / f
+    psi_s = dx_periodic(state.psi, h) / f
     return v_ss + (state.n - 1) * (psi_s / state.psi) * v_s
 
 
@@ -269,24 +264,27 @@ def _weyl_sq(n: int, rm_sq, ric_sq, scalar_sq):
     return rm_sq - 4.0 / (n - 2) * ric_sq + 2.0 / ((n - 1) * (n - 2)) * scalar_sq
 
 
+def warped_terms(n: int, c: float, h: float, f, psi, u, winding: int):
+    """The derivative kernel of the warped ansatz: (k_rad, k_fib,
+    |grad phi|^2, Lap phi) of the data f, psi, u on a periodic grid of
+    spacing h.  The curvature fields and the flow's right-hand side are
+    both built on it, so they agree bit for bit."""
+    psi_s = dx_periodic(psi, h) / f
+    psi_ss = dx_periodic(psi_s, h) / f
+    phi_s = (winding + dx_periodic(u, h)) / f
+    phi_ss = dx_periodic(phi_s, h) / f
+    lap_phi = phi_ss + (n - 1) * (psi_s / psi) * phi_s
+    return -psi_ss / psi, (c - psi_s**2) / psi**2, phi_s**2, lap_phi
+
+
 def compute_curvature(state: WarpedState) -> CurvatureFields:
     """All curvature/coupling fields of a warped state, in closed form."""
     for name, arr in (("f", state.f), ("psi", state.psi), ("u", state.u)):
         _check_finite(name, arr)
     n = state.n
     alpha = state.alpha
-    c = state.fiber_curvature
-
-    psi_s = s_derivative(state, state.psi)
-    psi_ss = s_derivative(state, psi_s)
-    k_rad = -psi_ss / state.psi
-    k_fib = (c - psi_s**2) / state.psi**2
-
-    phi_x = state.phi_x()
-    phi_s = phi_x / state.f
-    phi_ss = s_derivative(state, phi_s)
-    grad_phi_sq = phi_s**2
-    lap_phi = phi_ss + (n - 1) * (psi_s / state.psi) * phi_s
+    k_rad, k_fib, grad_phi_sq, lap_phi = warped_terms(
+        n, state.fiber_curvature, state.h, state.f, state.psi, state.u, state.winding)
 
     scalar = 2.0 * (n - 1) * k_rad + (n - 1) * (n - 2) * k_fib
     lam0 = (n - 1) * k_rad

@@ -45,15 +45,18 @@ class CheckpointError(RuntimeError):
 
 
 def _typed(cls, values: dict) -> dict:
-    """values with each entry converted to the int or float that the
-    dataclass cls annotates for it (YAML reads 1e-3 as a string); None
-    stays None where the annotation allows it."""
+    """values with each entry converted to the int (whole numbers only) or
+    float that the dataclass cls annotates for it (YAML reads 1e-3 as a
+    string); None stays None where the annotation allows it."""
     kinds = {fld.name: fld.type for fld in fields(cls)}
     out = {}
     for key, value in values.items():
         kind = kinds[key]
         if kind in _NUMBER and not (value is None and kind.endswith("None")):
-            value = _NUMBER[kind](value)
+            number = float(value)
+            if kind == "int" and not number.is_integer():
+                raise ConfigError(f"field {key!r} must be a whole number, got {value!r}")
+            value = _NUMBER[kind](number)
         out[key] = value
     return out
 
@@ -210,9 +213,9 @@ def save_checkpoint(path, traj: Trajectory):
              **_state_arrays(traj.final_state))
 
 
-def load_checkpoint(path, expected_scenario: str | None = None):
+def load_checkpoint(path, config: FlowConfig | None = None):
     """Returns (state, steps, MonitorState).  Raises CheckpointError on
-    unreadable or inconsistent data."""
+    unreadable or inconsistent data, also with the given config."""
     try:
         with np.load(path, allow_pickle=False) as data:
             state = _state_from_arrays(data)
@@ -225,9 +228,11 @@ def load_checkpoint(path, expected_scenario: str | None = None):
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if vals.shape != (8,) or not np.all(np.isfinite(vals)):
         raise CheckpointError(f"checkpoint {path} has malformed monitor state")
-    if expected_scenario is not None and scenario != expected_scenario:
-        raise CheckpointError(f"checkpoint scenario {scenario!r} does not match "
-                              f"config scenario {expected_scenario!r}")
+    for key in ("scenario", "n", "alpha", "fiber", "m"):  # fiber, m: warped states only
+        found = scenario if key == "scenario" else getattr(state, key, None)
+        if config is not None and found is not None and found != getattr(config, key):
+            raise CheckpointError(f"checkpoint {key} {found} does not match "
+                                  f"config {key} {getattr(config, key)}")
     mon = MonitorState(min_s0=vals[0], sup_r=vals[1], acc_r=vals[2], acc_w=vals[3],
                        prev_t=vals[4], prev_ir=vals[5], prev_iw=vals[6], eps0=vals[7])
     return state, steps, mon

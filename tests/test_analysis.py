@@ -1,8 +1,11 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rhflow import analysis
 from rhflow.analysis import (ball_volume_expansion_fit, check_gradient_bound,
                              check_metric_distortion, check_min_S_monotone,
                              check_phi_max_principle, check_volume_evolution,
@@ -12,8 +15,10 @@ from rhflow.analysis import (ball_volume_expansion_fit, check_gradient_bound,
 from rhflow.convergence import s_residual_study
 from rhflow.flow import FlowConfig, run
 from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState,
-                             ball_volume_constant, compute_curvature, curvature_fields)
+                             ball_volume_constant, compute_curvature, curvature_fields,
+                             scale_state)
 from rhflow.oracles import Scenario, exact_warped_state, exact_homogeneous_state
+from rhflow.verification import run_verification
 
 
 def run_scenario(scn, m=32, dt=1e-3, t_end=0.3, output_every=1, **kw):
@@ -437,3 +442,59 @@ def test_ansatz_is_exactly_preserved():
         assert rec.state.fiber is first.fiber
         assert rec.state.m == first.m
         assert rec.state.winding == first.winding
+
+
+def _pairwise_distortion(traj):
+    recs = traj.records
+    return analysis._pairwise_distortion(
+        np.stack([analysis._coefficient_logs(rec.state) for rec in recs]),
+        np.array([rec.monitor.distortion_rate for rec in recs]),
+        np.array([rec.monitor.length for rec in recs]),
+        np.array([rec.t for rec in recs]))
+
+
+def test_distortion_fast_path_matches_pairwise_scan(monkeypatch):
+    report = run_verification()
+    scanned = []
+    scan = analysis._pairwise_distortion
+    monkeypatch.setattr(analysis, "_pairwise_distortion",
+                        lambda *args: scanned.append(True) or scan(*args))
+    fell_back = set()
+    for key, traj in report.trajectories.items():
+        before = len(scanned)
+        got = check_metric_distortion(traj)
+        if len(scanned) > before:
+            fell_back.add(key[0])
+        assert got == _pairwise_distortion(traj), key
+    # flat records have adjacent excesses of exactly 0, which take the scan;
+    # the curved runs meet the bound with room and take the linear pass
+    assert "flat_stationary" in fell_back
+    assert "perturbed_cylinder" not in fell_back
+
+
+def test_distortion_violation_falls_back_to_pairwise_scan(torus_traj):
+    k = len(torus_traj.records) // 2
+    records = list(torus_traj.records)
+    # a jump of the metric between two adjacent records that no rate explains
+    state = records[k].state
+    records[k] = dataclasses.replace(records[k], state=scale_state(state, 1.01))
+    traj = SimpleNamespace(records=records)
+    got = check_metric_distortion(traj)
+    assert got > 0.009
+    assert got == _pairwise_distortion(traj)
+
+
+def test_s_evolution_is_worst_uniform_window():
+    rng = np.random.default_rng(5)
+    state = _random_state(rng, 32, 4)
+    cfg = FlowConfig(scenario="custom", n=4, alpha=state.alpha, m=32, dt=4e-4,
+                     t_end=0.05, output_every=3, blowup_threshold=1e8)
+    traj = run(cfg, state)
+    windows = []
+    for k in range(1, len(traj.records) - 1):
+        try:
+            windows.append(monitor_S_evolution(traj, k=k))
+        except ValueError:  # the last window, closed by the t_end record
+            pass
+    assert len(windows) == len(traj.records) - 3
+    assert monitor_S_evolution(traj) == max(windows)

@@ -107,6 +107,10 @@ def test_parse_config_validation():
         with pytest.raises(ConfigError, match=f"does not read parameter '{param}'"):
             parse_config({"scenario": scenario, "n": 4, "alpha": 1.0, "t_end": 1.0,
                           "params": {param: 3}})
+    for key, value in (("n", 4.9), ("m", 16.7), ("output_every", 2.5)):
+        raw = {"scenario": "shrinking_cylinder", "n": 4, "alpha": 1.0, "t_end": 1.0}
+        with pytest.raises(ConfigError, match=f"'{key}' must be a whole number"):
+            parse_config(dict(raw, **{key: value}))
 
 
 @pytest.mark.parametrize("text", [
@@ -165,6 +169,26 @@ def test_resume_corrupt_checkpoint(tmp_path, capsys):
     (out / "checkpoint.npz").write_bytes(b"not a checkpoint")
     assert main(["resume", str(out)]) == 2
     assert "checkpoint" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("m: 16", "m: 32"), "checkpoint error: checkpoint m 16 does not match config m 32"),
+    (("n: 4", "n: 5"), "checkpoint error: checkpoint n 4 does not match config n 5"),
+    (("alpha: 0.0", "alpha: 0.5"), "checkpoint error: checkpoint alpha 0.0"),
+    (("blowup_threshold: 1.0e6", "blowup_threshold: 3.0"), "config error: blowup_threshold 3"),
+], ids=["m", "n", "alpha", "threshold_below_checkpoint_rm"])
+def test_resume_refuses_config_contradicting_checkpoint(tmp_path, capsys, edit, message):
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "10"]) == 0
+    series = (out / "series.jsonl").read_bytes()
+    config = out / "config.yaml"
+    config.write_text(config.read_text().replace(*edit))
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert (out / "series.jsonl").read_bytes() == series
+    assert not (out / "manifest.json").exists()
 
 
 def test_verify_subset(tmp_path):

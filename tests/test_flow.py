@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from rhflow import flow
 from rhflow.convergence import spatial_study, temporal_study
 from rhflow.flow import FlowConfig, StepError, rhs, rhs_homogeneous, run, step
 from rhflow.geometry import Factor, Fiber, Grid, HomogeneousState, WarpedState, \
-    scale_state
+    curvature_fields, scale_state
 from rhflow.oracles import Scenario, exact_homogeneous_state, exact_warped_state
 
 
@@ -276,3 +277,43 @@ def test_alpha_zero_decouples_the_map():
     assert np.array_equal(traj.final_state.f, initial.f)
     assert np.array_equal(traj.final_state.psi, initial.psi)
     assert np.max(np.abs(traj.final_state.u)) < 0.7 * np.max(np.abs(initial.u))
+
+
+@pytest.mark.parametrize("state", [
+    WarpedState(2, Fiber.FLAT_TORUS, 1.0, 1.0 + 0.05 * np.sin(Grid(32).x),
+                1.0 + 0.1 * np.cos(Grid(32).x), winding=2, u=0.1 * np.sin(2 * Grid(32).x)),
+    WarpedState(4, Fiber.ROUND_SPHERE, 1.0, 1.0 + 0.05 * np.cos(Grid(32).x),
+                1.0 + 0.05 * np.sin(Grid(32).x), u=0.2 * np.cos(Grid(32).x)),
+], ids=["winding", "round_fiber"])
+def test_rhs_equals_curvature_fields_k1_bitwise(state):
+    # run takes each step's k1 from the curvature fields of the state it
+    # starts from; a resumed run repeats an uninterrupted one bit for bit
+    # only if that k1 is exactly rhs(state)
+    fields_k1 = flow._k1_from_fields(state, curvature_fields(state))
+    for got, want in zip(rhs(state), fields_k1):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_stage_losing_positivity_halves_the_step(monkeypatch):
+    # psi' = -2/psi on the n=4 cylinder: stage 4 of a step of size c from
+    # psi=1 is 1 - 2c(1-c)/(1-2c), negative for c > 1 - 1/sqrt(2)
+    m = 8
+    initial = WarpedState(4, Fiber.ROUND_SPHERE, 0.0, np.ones(m), np.ones(m))
+    assert flow._try_step(initial, 0.3) is None
+    rejected = []
+    try_step = flow._try_step
+
+    def counting(*args):
+        new = try_step(*args)
+        rejected.append(new is None)
+        return new
+
+    monkeypatch.setattr(flow, "_try_step", counting)
+    cfg = FlowConfig(scenario="shrinking_cylinder", n=4, alpha=0.0, m=m, dt=0.3,
+                     t_end=1.0, c_cfl=1.0, rate_limit=100.0, blowup_threshold=1e3)
+    traj = run(cfg, initial)
+    assert rejected[0] and any(rejected)
+    assert traj.termination == "blowup_threshold"
+    assert traj.records[1].t == 0.15
+    assert traj.records[1].state.psi[0] ** 2 == pytest.approx(1.0 - 4 * 0.15, rel=1e-2)
+    assert traj.final_t == pytest.approx(0.25, rel=1e-2)
