@@ -6,17 +6,17 @@ __version__ = "0.1.0"
 
 from .geometry import (CurvatureFields, Factor, Fiber, Grid, HomogeneousState,
                        WarpedState, compute_curvature, compute_curvature_homogeneous,
-                       curvature_fields, reduced_lengths_and_volume, scale_state)
+                       curvature_fields, scale_state)
 from .christoffel import curvature_oracle_check
 from .flow import FlowConfig, StepError, Trajectory, rhs, rhs_homogeneous, run, step
-from .oracles import Scenario, exact_state, initial_state, singular_time
+from .oracles import Scenario, exact_state, singular_time
 from . import analysis
 
 __all__ = [
     "CurvatureFields", "Factor", "Fiber", "Grid", "HomogeneousState", "WarpedState",
     "compute_curvature", "compute_curvature_homogeneous", "curvature_fields",
-    "reduced_lengths_and_volume", "scale_state", "curvature_oracle_check",
+    "scale_state", "curvature_oracle_check",
     "FlowConfig", "StepError", "Trajectory", "rhs", "rhs_homogeneous", "run",
-    "step", "Scenario", "exact_state", "initial_state", "singular_time", "analysis",
+    "step", "Scenario", "exact_state", "singular_time", "analysis",
     "__version__",
 ]

@@ -16,9 +16,9 @@ The blow-up toolkit selects near-maximal curvature points, applies
 parabolic rescaling, and fits the small-ball volume expansion on model
 geometries.
 
-Conventions.  The scalar S and tensor norm |S_ij|^2 use the full
-coupling alpha, matching their definitions in the geometry module.  The
-evolution identity is checked for the flow-normalized pair
+Conventions.  The scalar S uses the full coupling alpha, matching its
+definition in the geometry module.  The evolution identity is checked
+for the flow-normalized pair
 
     Sigma = R - (alpha/2)|grad phi|^2,
     Sigma_ij = R_ij - (alpha/2) phi_i phi_j,
@@ -41,10 +41,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .geometry import (CurvatureFields, Fiber, HomogeneousState, State, WarpedState,
-                       ball_volume_constant, curvature_fields, homogeneous_length,
-                       homogeneous_volume, integrate_scalar, laplacian,
-                       reduced_lengths_and_volume, scale_state, sphere_area)
+from .geometry import (CurvatureFields, Fiber, HomogeneousState, State,
+                       ball_volume_constant, curvature_fields, scale_state, sphere_area)
 
 EPS0 = 1e-8
 
@@ -106,39 +104,21 @@ class MonitorState:
         self.prev_t, self.prev_ir, self.prev_iw = state.t, ir, iw
 
 
-def state_length_volume(state: State) -> tuple[float, float]:
-    if isinstance(state, WarpedState):
-        return reduced_lengths_and_volume(state)
-    return homogeneous_length(state), homogeneous_volume(state)
-
-
-def integrate_over_manifold(state: State, values: np.ndarray, volume: float) -> float:
-    if isinstance(state, WarpedState):
-        return integrate_scalar(state, values)
-    return float(values[0]) * volume
-
-
 def curvature_power_integrals(state: State, fields: CurvatureFields) -> tuple[float, float]:
     """(int |R|^p dmu, int |W|^p dmu) with p = (n+2)/2."""
     p = (state.n + 2) / 2.0
-    _, vol = state_length_volume(state)
-    ir = integrate_over_manifold(state, np.abs(fields.scalar) ** p, vol)
-    iw = integrate_over_manifold(state, np.abs(fields.weyl_sq) ** (p / 2.0), vol)
-    return ir, iw
+    return (state.integrate(np.abs(fields.scalar) ** p),
+            state.integrate(np.abs(fields.weyl_sq) ** (p / 2.0)))
 
 
 def make_monitor_record(state: State, fields: CurvatureFields,
                         mon: MonitorState) -> MonitorRecord:
     alpha = state.alpha
-    length, volume = state_length_volume(state)
-    integrand = integrate_over_manifold(
-        state, -fields.scalar + 0.5 * alpha * fields.grad_phi_sq, volume)
+    length, volume = state.length_volume()
+    integrand = state.integrate(-fields.scalar + 0.5 * alpha * fields.grad_phi_sq)
     max_grad = float(np.max(fields.grad_phi_sq))
     max_ric = fields.max_ric
-    if isinstance(state, WarpedState):
-        phi_min, phi_max = float(np.min(state.u)), float(np.max(state.u))
-    else:
-        phi_min = phi_max = 0.0
+    phi_min, phi_max = state.map_range()
     margin = mon.sup_r + mon.eps0 - mon.min_s0 - alpha * max_grad
     return MonitorRecord(
         t=state.t,
@@ -208,10 +188,7 @@ def _s_evolution_window(recs, k: int, fields_of) -> float:
         raise ValueError("snapshots are not uniformly spaced around the window")
     f_prev, f_mid, f_next = fields_of(k - 1), fields_of(k), fields_of(k + 1)
     dsdt = (f_next.s_flow - f_prev.s_flow) / (d1 + d2)
-    if isinstance(mid.state, WarpedState):
-        lap_s = laplacian(mid.state, f_mid.s_flow)
-    else:
-        lap_s = np.zeros_like(f_mid.s_flow)
+    lap_s = mid.state.laplacian(f_mid.s_flow)
     alpha = mid.state.alpha
     resid = dsdt - lap_s - 2.0 * f_mid.flow_tensor_sq - alpha * f_mid.lap_phi**2
     return float(np.max(np.abs(resid)))
@@ -239,34 +216,18 @@ def check_gradient_bound(traj) -> float:
     return min(rec.monitor.grad_margin for rec in recs)
 
 
-def phi_max_principle_applies(traj) -> bool:
-    state = traj.records[0].state
-    if isinstance(state, WarpedState):
-        return state.winding == 0
-    return all(fac.slope == 0.0 for fac in state.factors)
-
-
 def check_phi_max_principle(traj) -> float | None:
     """Worst violation of inf phi(0) <= phi(t) <= sup phi(0).  Only
     meaningful for single-valued (zero winding) maps; returns None when
     skipped."""
-    if not phi_max_principle_applies(traj):
-        return None
     recs = _records(traj)
+    if not recs[0].state.map_single_valued:
+        return None
     lo0, hi0 = recs[0].monitor.phi_min, recs[0].monitor.phi_max
     worst = 0.0
     for rec in recs:
         worst = max(worst, rec.monitor.phi_max - hi0, lo0 - rec.monitor.phi_min)
     return max(0.0, worst)
-
-
-def _coefficient_logs(state: State) -> np.ndarray:
-    """Log of the metric coefficients in the two coordinate directions
-    (g_xx = f^2 and the fiber coefficient psi^2), concatenated; for
-    homogeneous states, the per-factor coefficients."""
-    if isinstance(state, WarpedState):
-        return np.concatenate([np.log(state.f**2), np.log(state.psi**2)])
-    return np.log(state.coefficients())
 
 
 def check_metric_distortion(traj, t0=None, t1=None) -> float:
@@ -281,7 +242,7 @@ def check_metric_distortion(traj, t0=None, t1=None) -> float:
     the bound holds).  Zero (up to eps0) means the estimate holds.
     """
     recs = _records(traj)
-    logs = np.stack([_coefficient_logs(rec.state) for rec in recs])
+    logs = np.stack([rec.state.metric_logs() for rec in recs])
     rates = np.array([rec.monitor.distortion_rate for rec in recs])
     lens = np.array([rec.monitor.length for rec in recs])
     times = np.array([rec.t for rec in recs])
@@ -374,7 +335,6 @@ def check_volume_evolution(traj) -> tuple[float, float]:
 class BlowupPoint:
     t: float
     index: int
-    x: float
     q: float
 
 
@@ -394,27 +354,15 @@ def pick_blowup_points(traj, c_pick: float = 2.0) -> list[BlowupPoint]:
         q = rms[k]
         if q <= rms[0] or c_pick * q < running[k] or q < last_q:
             continue
-        state = recs[k].state
-        fields = curvature_fields(state)
-        idx = int(np.argmax(fields.rm_sq))
-        x = idx * state.h if isinstance(state, WarpedState) else 0.0
+        idx = int(np.argmax(curvature_fields(recs[k].state).rm_sq))
         assert c_pick * q >= running[k]
-        picks.append(BlowupPoint(t=recs[k].t, index=idx, x=x, q=float(q)))
+        picks.append(BlowupPoint(t=recs[k].t, index=idx, q=float(q)))
         last_q = q
     return picks
 
 
-@dataclass
-class RescaledState:
-    """A state together with its parabolic zoom g -> q*g."""
-
-    base: State
-    q: float
-    state: State
-
-
-def parabolic_rescale(state: State, q: float) -> RescaledState:
-    """Parabolic rescaling by q, verifying the exact scaling laws
+def parabolic_rescale(state: State, q: float) -> State:
+    """The state scaled by q (g -> q*g), after verifying the scaling laws
     max|Rm| -> max|Rm|/q and S, |grad phi|^2 -> /q to 1e-12 relative."""
     scaled = scale_state(state, q)
     base_fields = curvature_fields(state)
@@ -428,7 +376,7 @@ def parabolic_rescale(state: State, q: float) -> RescaledState:
         dev = float(np.max(np.abs(new - base / q)))
         if dev > 1e-12 * (1.0 + float(np.max(np.abs(base)))):
             raise ValueError(f"rescaling law violated for {name}: deviation {dev}")
-    return RescaledState(base=state, q=q, state=scaled)
+    return scaled
 
 
 def geodesic_ball_volume(geometry: HomogeneousState, r: float) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import asdict
 import shutil
 import sys
 from pathlib import Path
@@ -90,7 +91,8 @@ def cmd_resume(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        state, steps, monitor_state = runio.load_checkpoint(outdir / "checkpoint.npz", config)
+        state, steps, monitor_state = runio.load_checkpoint(outdir / "checkpoint.npz", config,
+                                                            representation)
     except runio.CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 2
@@ -117,7 +119,7 @@ def cmd_verify(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         payload = {"version": __version__,
                    "all_passed": report.all_passed,
-                   "rows": [row.to_dict() for row in report.rows]}
+                   "rows": [asdict(row) for row in report.rows]}
         (outdir / "verify_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     return 0 if report.all_passed else 1
 
@@ -133,7 +135,7 @@ def cmd_converge(args) -> int:
         outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)
         payload = {"scenario": args.scenario,
-                   "studies": [res.to_dict() for res in results]}
+                   "studies": [asdict(res) for res in results]}
         (outdir / f"converge_{args.scenario}.json").write_text(
             json.dumps(payload, indent=2) + "\n")
     return 0

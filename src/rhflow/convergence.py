@@ -7,7 +7,6 @@ import numpy as np
 
 from .analysis import fit_order, monitor_S_evolution
 from .flow import FlowConfig, run
-from .geometry import WarpedState
 from .oracles import SCENARIOS, Scenario, exact_state
 
 _EXACT_FLOOR = 1e-12
@@ -21,10 +20,6 @@ class StudyResult:
     order: float | None   # None when errors sit at rounding level
     exact: bool
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "scales": self.scales, "errors": self.errors,
-                "order": self.order, "exact": self.exact}
-
 
 def _finish(name, scales, errors) -> StudyResult:
     errors = [float(e) for e in errors]
@@ -34,16 +29,11 @@ def _finish(name, scales, errors) -> StudyResult:
 
 
 def state_error(state, reference) -> float:
-    """Max relative coefficient error between two states of the same kind;
+    """Max relative error of arrays() between two states of the same kind;
     a warped reference may sit on a grid that refines the state's."""
-    if isinstance(state, WarpedState):
-        stride = reference.m // state.m
-        pairs = ((state.f, reference.f[::stride]), (state.psi, reference.psi[::stride]),
-                 (state.u, reference.u[::stride]))
-    else:
-        pairs = ((state.coefficients(), reference.coefficients()),)
     worst = 0.0
-    for got, want in pairs:
+    for got, want in zip(state.arrays(), reference.arrays()):
+        want = want[::want.size // got.size]
         worst = max(worst, float(np.max(np.abs(got - want))) /
                     (1.0 + float(np.max(np.abs(want)))))
     return worst

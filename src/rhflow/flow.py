@@ -17,16 +17,18 @@ Homogeneous product states reduce further to constant-rate ODEs:
 round S^d factors shrink at da/dt = -2(d-1), flat circle factors with
 map slope w grow at da/dt = alpha w^2.
 
-Integration is classical four-stage Runge-Kutta with the parabolic
-step bound dt <= c_cfl * min(f h)^2, a relative-change rate limiter for
-the approach to blow-up, and a halve-and-retry policy on steps that
-produce non-finite values or lose positivity of f or psi.  Steps are
-first-same-as-last: the curvature fields of each accepted state, which
-the blow-up test and the monitors need anyway, give the next k1 through
-the derivative kernel that rhs uses, so k1 equals rhs(state) bit for
-bit.  The other three stages are bare arrays passed to rhs; a stage with
-f or psi not positive rejects the step.  Only the accepted state is
-built, and validated, as a WarpedState.
+Integration is one classical four-stage Runge-Kutta for both kinds of
+state, over the state's arrays() (f, psi, u or the coefficients), with
+the parabolic step bound dt <= c_cfl * min(f h)^2 on warped grids, a
+relative-change rate limiter for the approach to blow-up, and a
+halve-and-retry policy on steps that produce non-finite values or lose
+positivity of the metric arrays.  Steps are first-same-as-last: the
+curvature fields of each accepted state, which the blow-up test and the
+monitors need anyway, give the next k1 through the derivative kernel
+that rhs uses, so k1 equals rhs(state) bit for bit.  The other three
+stages are bare arrays passed to rhs; a stage whose metric arrays are
+not positive rejects the step.  Only the accepted state is built, and
+validated, through state.evolved.
 """
 from __future__ import annotations
 
@@ -68,9 +70,6 @@ class FlowConfig:
     output_every: int = 1
     snapshot_every: int = 0
     eps0: float = EPS0
-    # estimate monitors the verification suite evaluates for runs with this
-    # config; None selects all of them
-    monitors: tuple[str, ...] | None = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -89,8 +88,10 @@ class FlowConfig:
             raise ValueError("output_every must be >= 1")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
-        if self.monitors is not None:
-            self.monitors = tuple(str(name) for name in self.monitors)
+        # snapshots are taken at recorded steps only
+        if self.snapshot_every % self.output_every:
+            raise ValueError(f"snapshot_every ({self.snapshot_every}) must be a multiple "
+                             f"of output_every ({self.output_every})")
 
 
 @dataclass
@@ -138,10 +139,14 @@ def _warped_rates(state: WarpedState, f, psi, k_rad, k_fib, grad_phi_sq, lap_phi
             -psi * lam1, lap_phi)
 
 
-def rhs(state: WarpedState, y=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time derivatives (df/dt, dpsi/dt, du/dt) of a warped state, or of
-    RK stage arrays y = (f, psi, u) on its grid with its parameters."""
-    f, psi, u = (state.f, state.psi, state.u) if y is None else y
+def rhs(state: State, y=None) -> tuple[np.ndarray, ...]:
+    """Time derivatives of state.arrays(), or of RK stage arrays y in
+    their place with the state's grid and parameters: (df/dt, dpsi/dt,
+    du/dt) for a warped state, (rhs_homogeneous(state),) for a
+    homogeneous one, whose rates do not depend on the coefficients."""
+    if not isinstance(state, WarpedState):
+        return (rhs_homogeneous(state),)
+    f, psi, u = state.arrays() if y is None else y
     terms = warped_terms(state.n, state.fiber_curvature, state.h, f, psi, u, state.winding)
     return _warped_rates(state, f, psi, *terms)
 
@@ -151,7 +156,7 @@ def _k1_from_fields(state: State, fields):
     if isinstance(state, WarpedState):
         return _warped_rates(state, state.f, state.psi, fields.k_rad, fields.k_fib,
                              fields.grad_phi_sq, fields.lap_phi)
-    return rhs_homogeneous(state)
+    return (rhs_homogeneous(state),)
 
 
 def rhs_homogeneous(state: HomogeneousState) -> np.ndarray:
@@ -171,54 +176,30 @@ def rhs_homogeneous(state: HomogeneousState) -> np.ndarray:
 # stepping
 
 
-def _rk4_warped(state: WarpedState, dt: float, k1=None) -> WarpedState:
-    # Stages are bare arrays, checked only for positivity of f and psi
-    # (a NaN fails it too; an infinite value makes the result non-finite).
-    # A failing stage and a result that WarpedState rejects both raise
-    # ValueError, which callers treat as step rejection.
-    y0 = (state.f, state.psi, state.u)
+def _rk4(state: State, dt: float, k1=None) -> State:
+    # Stages are bare arrays, checked only for positivity of the leading
+    # state.positive arrays (a NaN fails it too; an infinite value makes
+    # the result non-finite).  A failing stage and a result that evolved()
+    # rejects both raise ValueError, which callers treat as step rejection.
+    y0 = state.arrays()
     ks = [rhs(state) if k1 is None else k1]
     for c in (0.5, 0.5, 1.0):
         y = tuple(a + c * dt * k for a, k in zip(y0, ks[-1]))
-        if not (y[0].min() > 0.0 and y[1].min() > 0.0):
-            raise ValueError("an RK stage lost positivity of f or psi")
+        if not all(a.min() > 0.0 for a in y[:state.positive]):
+            raise ValueError("an RK stage lost positivity of the metric")
         ks.append(rhs(state, y))
-    k1, k2, k3, k4 = ks
-    return WarpedState(
-        state.n, state.fiber, state.alpha,
-        state.f + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        state.psi + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        state.winding,
-        state.u + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        state.t + dt)
-
-
-def _rk4_homogeneous(state: HomogeneousState, dt: float, k1=None) -> HomogeneousState:
-    a = state.coefficients()
-    if k1 is None:
-        k1 = rhs_homogeneous(state)
-    k2 = rhs_homogeneous(state.with_coefficients(a + 0.5 * dt * k1, state.t))
-    k3 = rhs_homogeneous(state.with_coefficients(a + 0.5 * dt * k2, state.t))
-    k4 = rhs_homogeneous(state.with_coefficients(a + dt * k3, state.t))
-    return state.with_coefficients(a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-                                   state.t + dt)
-
-
-def _finite(state: State) -> bool:
-    warped = isinstance(state, WarpedState)
-    return bool(np.all(np.isfinite((state.f, state.psi, state.u) if warped
-                                   else state.coefficients())))
+    return state.evolved([a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                          for a, k1, k2, k3, k4 in zip(y0, *ks)], state.t + dt)
 
 
 def _try_step(state: State, dt: float, k1=None):
     """RK4 attempt; returns the new state, or None when rejected."""
     with np.errstate(all="ignore"):
         try:
-            rk4 = _rk4_warped if isinstance(state, WarpedState) else _rk4_homogeneous
-            new = rk4(state, dt, k1)
+            new = _rk4(state, dt, k1)
         except ValueError:
             return None
-    return new if _finite(new) else None
+    return new if np.all(np.isfinite(new.arrays())) else None
 
 
 def step(state: State, dt: float):
@@ -237,12 +218,8 @@ def _dt_bound(state: State, config: FlowConfig, k1) -> float:
     and a relative-change rate limiter on the positive coefficients."""
     bounds = [np.inf if config.dt is None else config.dt]
     if isinstance(state, WarpedState):
-        h = state.h
-        bounds.append(config.c_cfl * float(np.min(state.f * h) ** 2))
-        pairs = ((state.f, k1[0]), (state.psi, k1[1]))
-    else:
-        pairs = ((state.coefficients(), k1),)
-    for values, rates in pairs:
+        bounds.append(config.c_cfl * float(np.min(state.f * state.h) ** 2))
+    for values, rates in zip(state.arrays()[:state.positive], k1):
         fastest = float(np.max(np.abs(rates) / values))
         if fastest > 0.0:
             bounds.append(config.rate_limit / fastest)

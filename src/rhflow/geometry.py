@@ -25,8 +25,9 @@ with c = 1 for the round fiber and c = 0 for the flat one, and
 
 All s-derivatives are taken with second-order periodic central
 differences; second derivatives use the nested form (1/f) Dx((1/f) Dx).
-Homogeneous product states (finitely many coefficients, one per factor)
-provide the closed-form oracle substrate.
+Homogeneous product states (one coefficient per factor) provide the
+closed-form oracle substrate.  Both kinds share the interface that the
+flow and the monitors use (arrays, evolved, length_volume, integrate, ...).
 """
 from __future__ import annotations
 
@@ -144,6 +145,59 @@ class WarpedState:
         """Coordinate derivative of phi = winding*x + u."""
         return self.winding + dx_periodic(self.u, self.h)
 
+    # -- the state interface shared with HomogeneousState --------------------
+
+    positive = 2  # leading arrays() entries that must stay positive (f, psi)
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The evolving data (f, psi, u)."""
+        return self.f, self.psi, self.u
+
+    def evolved(self, arrays, t: float) -> "WarpedState":
+        """A validated state with the given arrays() at time t."""
+        f, psi, u = arrays
+        return WarpedState(self.n, self.fiber, self.alpha, f, psi, self.winding, u, t)
+
+    def length_volume(self) -> tuple[float, float]:
+        """Arc length of the base circle and total volume,
+
+            L = int f dx,    V = vol(fiber) * int f psi^{n-1} dx,
+
+        by trapezoidal quadrature on the periodic grid (which is the plain
+        Riemann sum there)."""
+        h = self.h
+        length = h * float(np.sum(self.f))
+        vol = fiber_volume(self.n - 1, self.fiber) * h * float(
+            np.sum(self.f * self.psi ** (self.n - 1)))
+        return length, vol
+
+    def integrate(self, values: np.ndarray) -> float:
+        """int values dmu over the manifold."""
+        return fiber_volume(self.n - 1, self.fiber) * self.h * float(
+            np.sum(values * self.f * self.psi ** (self.n - 1)))
+
+    def metric_logs(self) -> np.ndarray:
+        """Log of the metric coefficients in the two coordinate directions,
+        g_xx = f^2 and the fiber coefficient psi^2, concatenated."""
+        return np.concatenate([np.log(self.f**2), np.log(self.psi**2)])
+
+    def map_range(self) -> tuple[float, float]:
+        """(min, max) of the periodic part u of phi."""
+        return float(np.min(self.u)), float(np.max(self.u))
+
+    @property
+    def map_single_valued(self) -> bool:
+        return self.winding == 0
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        """Laplace-Beltrami operator on x-only scalars:
+        v_ss + (n-1)(psi_s/psi) v_s."""
+        h, f = self.h, self.f
+        v_s = dx_periodic(values, h) / f
+        v_ss = dx_periodic(v_s, h) / f
+        psi_s = dx_periodic(self.psi, h) / f
+        return v_ss + (self.n - 1) * (psi_s / self.psi) * v_s
+
 
 @dataclass(frozen=True)
 class Factor:
@@ -201,9 +255,46 @@ class HomogeneousState:
     def coefficients(self) -> np.ndarray:
         return np.array([fac.coeff for fac in self.factors])
 
-    def with_coefficients(self, coeffs: np.ndarray, t: float) -> "HomogeneousState":
-        factors = tuple(replace(fac, coeff=float(a)) for fac, a in zip(self.factors, coeffs))
+    # -- the state interface shared with WarpedState -------------------------
+
+    positive = 1  # the coefficients must stay positive
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The evolving data: the factor coefficients."""
+        return (self.coefficients(),)
+
+    def evolved(self, arrays, t: float) -> "HomogeneousState":
+        """A validated state with the given arrays() at time t."""
+        factors = tuple(replace(fac, coeff=float(a)) for fac, a in zip(self.factors, arrays[0]))
         return HomogeneousState(self.n, self.alpha, factors, t)
+
+    def length_volume(self) -> tuple[float, float]:
+        """Circumference scale of the first factor (a representative curve
+        length) and total volume."""
+        vol = 1.0
+        for fac in self.factors:
+            vol *= fiber_volume(fac.dim, fac.kind) * fac.coeff ** (fac.dim / 2.0)
+        return TWO_PI * math.sqrt(self.factors[0].coeff), vol
+
+    def integrate(self, values: np.ndarray) -> float:
+        """int values dmu of a constant (length-1) field."""
+        return float(values[0]) * self.length_volume()[1]
+
+    def metric_logs(self) -> np.ndarray:
+        """Log of the per-factor coefficients."""
+        return np.log(self.coefficients())
+
+    def map_range(self) -> tuple[float, float]:
+        """A map of slopes along circle factors has no periodic part."""
+        return 0.0, 0.0
+
+    @property
+    def map_single_valued(self) -> bool:
+        return all(fac.slope == 0.0 for fac in self.factors)
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        """Zero: every field on a homogeneous state is constant."""
+        return np.zeros_like(values)
 
 
 State = WarpedState | HomogeneousState
@@ -214,10 +305,9 @@ class CurvatureFields:
     """Pointwise curvature and coupling quantities.
 
     Arrays are over the grid for warped states and length 1 for
-    homogeneous ones.  s_scalar = R - alpha*|grad phi|^2 and
-    s_tensor_sq = |R_ij - alpha phi_i phi_j|^2 use the full coupling.
-    s_flow and flow_tensor_sq are the trace and squared norm of the
-    tensor driving the metric flow, R_ij - (alpha/2) phi_i phi_j,
+    homogeneous ones.  s_scalar = R - alpha*|grad phi|^2 uses the full
+    coupling.  s_flow and flow_tensor_sq are the trace and squared norm
+    of the tensor driving the metric flow, R_ij - (alpha/2) phi_i phi_j,
     which is the pair entering the evolution identity (see analysis).
     """
 
@@ -232,7 +322,6 @@ class CurvatureFields:
     grad_phi_sq: np.ndarray
     lap_phi: np.ndarray
     s_scalar: np.ndarray
-    s_tensor_sq: np.ndarray
     s_flow: np.ndarray
     flow_tensor_sq: np.ndarray
     ric_op: np.ndarray
@@ -245,16 +334,6 @@ class CurvatureFields:
     @property
     def max_ric(self) -> float:
         return float(np.max(self.ric_op))
-
-
-def laplacian(state: WarpedState, values: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami operator on x-only scalars:
-    v_ss + (n-1)(psi_s/psi) v_s."""
-    h, f = state.h, state.f
-    v_s = dx_periodic(values, h) / f
-    v_ss = dx_periodic(v_s, h) / f
-    psi_s = dx_periodic(state.psi, h) / f
-    return v_ss + (state.n - 1) * (psi_s / state.psi) * v_s
 
 
 def _weyl_sq(n: int, rm_sq, ric_sq, scalar_sq):
@@ -294,14 +373,13 @@ def compute_curvature(state: WarpedState) -> CurvatureFields:
     weyl_sq = _weyl_sq(n, rm_sq, ric_sq, scalar**2)
 
     s_scalar = scalar - alpha * grad_phi_sq
-    s_tensor_sq = (lam0 - alpha * grad_phi_sq) ** 2 + (n - 1) * lam1**2
     s_flow = scalar - 0.5 * alpha * grad_phi_sq
     flow_tensor_sq = (lam0 - 0.5 * alpha * grad_phi_sq) ** 2 + (n - 1) * lam1**2
     ric_op = np.maximum(np.abs(lam0), np.abs(lam1))
 
     return CurvatureFields(n, alpha, k_rad, k_fib, scalar, ric_sq, rm_sq, weyl_sq,
-                           grad_phi_sq, lap_phi, s_scalar, s_tensor_sq,
-                           s_flow, flow_tensor_sq, ric_op)
+                           grad_phi_sq, lap_phi, s_scalar, s_flow, flow_tensor_sq,
+                           ric_op)
 
 
 def compute_curvature_homogeneous(state: HomogeneousState) -> CurvatureFields:
@@ -321,7 +399,6 @@ def compute_curvature_homogeneous(state: HomogeneousState) -> CurvatureFields:
     rm_sq = 0.0
     grad = 0.0
     ric_op = 0.0
-    s_tensor_sq = 0.0
     flow_tensor_sq = 0.0
     for fac in state.factors:
         eig = fac.ric_eig
@@ -330,14 +407,10 @@ def compute_curvature_homogeneous(state: HomogeneousState) -> CurvatureFields:
         ric_sq += fac.dim * eig**2
         rm_sq += 2.0 * fac.dim * (fac.dim - 1) * k**2
         ric_op = max(ric_op, abs(eig))
-        phi_term = alpha * fac.slope**2 / fac.coeff
-        half_term = 0.5 * phi_term
         if fac.slope != 0.0:
             grad += fac.slope**2 / fac.coeff
-            s_tensor_sq += (eig - phi_term) ** 2
-            flow_tensor_sq += (eig - half_term) ** 2
+            flow_tensor_sq += (eig - 0.5 * (alpha * fac.slope**2 / fac.coeff)) ** 2
         else:
-            s_tensor_sq += fac.dim * eig**2
             flow_tensor_sq += fac.dim * eig**2
 
     if len(state.factors) == 1:
@@ -355,8 +428,7 @@ def compute_curvature_homogeneous(state: HomogeneousState) -> CurvatureFields:
     return CurvatureFields(
         n, alpha, arr(k_rad), arr(k_fib), arr(scalar), arr(ric_sq), arr(rm_sq),
         arr(weyl_sq), arr(grad), arr(0.0), arr(scalar - alpha * grad),
-        arr(s_tensor_sq), arr(scalar - 0.5 * alpha * grad), arr(flow_tensor_sq),
-        arr(ric_op))
+        arr(scalar - 0.5 * alpha * grad), arr(flow_tensor_sq), arr(ric_op))
 
 
 def curvature_fields(state: State) -> CurvatureFields:
@@ -375,7 +447,7 @@ def scale_state(state: State, q: float):
     if isinstance(state, WarpedState):
         return WarpedState(state.n, state.fiber, state.alpha, root * state.f,
                            root * state.psi, state.winding, state.u.copy(), state.t)
-    return state.with_coefficients(q * state.coefficients(), state.t)
+    return state.evolved((q * state.coefficients(),), state.t)
 
 
 def sphere_area(d: int) -> float:
@@ -393,36 +465,3 @@ def fiber_volume(dim: int, kind: Fiber) -> float:
     if Fiber(kind) is Fiber.ROUND_SPHERE:
         return sphere_area(dim)
     return TWO_PI**dim
-
-
-def reduced_lengths_and_volume(state: WarpedState) -> tuple[float, float]:
-    """Arc length of the base circle and total volume,
-
-        L = int f dx,    V = vol(fiber) * int f psi^{n-1} dx,
-
-    by trapezoidal quadrature on the periodic grid (which is the plain
-    Riemann sum there)."""
-    h = state.h
-    length = h * float(np.sum(state.f))
-    vol = fiber_volume(state.n - 1, state.fiber) * h * float(
-        np.sum(state.f * state.psi ** (state.n - 1)))
-    return length, vol
-
-
-def integrate_scalar(state: WarpedState, values: np.ndarray) -> float:
-    """int values dmu over the warped manifold."""
-    h = state.h
-    return fiber_volume(state.n - 1, state.fiber) * h * float(
-        np.sum(values * state.f * state.psi ** (state.n - 1)))
-
-
-def homogeneous_volume(state: HomogeneousState) -> float:
-    vol = 1.0
-    for fac in state.factors:
-        vol *= fiber_volume(fac.dim, fac.kind) * fac.coeff ** (fac.dim / 2.0)
-    return vol
-
-
-def homogeneous_length(state: HomogeneousState) -> float:
-    """Representative curve length: circumference scale of the first factor."""
-    return TWO_PI * math.sqrt(state.factors[0].coeff)

@@ -185,16 +185,3 @@ def exact_state(scn: Scenario, t: float, m: int = 64, representation: str | None
     f, psi, winding, u = build(scn, t, Grid(m).x)
     return WarpedState(scn.n, spec.fiber, scn.alpha, f, psi, winding, u, t)
 
-
-def exact_warped_state(scn: Scenario, t: float, m: int = 64) -> WarpedState:
-    """Closed-form warped state at time t (grid of m points)."""
-    return exact_state(scn, t, m, "warped")
-
-
-def exact_homogeneous_state(scn: Scenario, t: float) -> HomogeneousState:
-    """Closed-form homogeneous state at time t."""
-    return exact_state(scn, t, representation="homogeneous")
-
-
-def initial_state(scn: Scenario, m: int = 64):
-    return exact_state(scn, 0.0, m)

@@ -47,12 +47,15 @@ class CheckpointError(RuntimeError):
 def _typed(cls, values: dict) -> dict:
     """values with each entry converted to the int (whole numbers only) or
     float that the dataclass cls annotates for it (YAML reads 1e-3 as a
-    string); None stays None where the annotation allows it."""
+    string); None stays None where the annotation allows it.  A boolean
+    is not taken as a number."""
     kinds = {fld.name: fld.type for fld in fields(cls)}
     out = {}
     for key, value in values.items():
         kind = kinds[key]
         if kind in _NUMBER and not (value is None and kind.endswith("None")):
+            if isinstance(value, bool):
+                raise ConfigError(f"field {key!r} must be a number, got {value!r}")
             number = float(value)
             if kind == "int" and not number.is_integer():
                 raise ConfigError(f"field {key!r} must be a whole number, got {value!r}")
@@ -213,26 +216,28 @@ def save_checkpoint(path, traj: Trajectory):
              **_state_arrays(traj.final_state))
 
 
-def load_checkpoint(path, config: FlowConfig | None = None):
+def load_checkpoint(path, config: FlowConfig | None = None,
+                    representation: str | None = None):
     """Returns (state, steps, MonitorState).  Raises CheckpointError on
-    unreadable or inconsistent data, also with the given config."""
+    unreadable or inconsistent data, also with the given config and
+    representation."""
     try:
         with np.load(path, allow_pickle=False) as data:
             state = _state_from_arrays(data)
             steps = int(data["step"])
             vals = np.asarray(data["mon"], dtype=float)
-            scenario = str(data["scenario"])
+            stored = dict(scenario=str(data["scenario"]), representation=str(data["kind"]))
     except CheckpointError:
         raise
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if vals.shape != (8,) or not np.all(np.isfinite(vals)):
         raise CheckpointError(f"checkpoint {path} has malformed monitor state")
-    for key in ("scenario", "n", "alpha", "fiber", "m"):  # fiber, m: warped states only
-        found = scenario if key == "scenario" else getattr(state, key, None)
-        if config is not None and found is not None and found != getattr(config, key):
-            raise CheckpointError(f"checkpoint {key} {found} does not match "
-                                  f"config {key} {getattr(config, key)}")
+    for key in ("scenario", "representation", "n", "alpha", "fiber", "m"):
+        found = stored.get(key, getattr(state, key, None))  # fiber, m: warped states only
+        want = representation if key == "representation" else getattr(config, key, None)
+        if found is not None and want is not None and found != want:
+            raise CheckpointError(f"checkpoint {key} {found} does not match config {key} {want}")
     mon = MonitorState(min_s0=vals[0], sup_r=vals[1], acc_r=vals[2], acc_w=vals[3],
                        prev_t=vals[4], prev_ir=vals[5], prev_iw=vals[6], eps0=vals[7])
     return state, steps, mon

@@ -16,7 +16,6 @@ import numpy as np
 from . import analysis
 from .convergence import state_error
 from .flow import FlowConfig, Trajectory, run
-from .geometry import WarpedState
 from .oracles import SCENARIOS, Scenario, default_scenario, exact_state, singular_time
 
 
@@ -29,11 +28,6 @@ class CheckRow:
     op: str                  # "<=", ">=", "==" (booleans use value 1.0/0.0)
     passed: bool
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {"scenario": self.scenario, "check": self.check, "value": self.value,
-                "threshold": self.threshold, "op": self.op, "passed": self.passed,
-                "note": self.note}
 
 
 @dataclass
@@ -168,10 +162,10 @@ def evaluate_case(case: SuiteCase) -> tuple[list[CheckRow], dict[str, Trajectory
 
     if case.state_error_tol is not None:
         source = trajs.get("uniform", main)
+        m = (case.uniform or case.main).m
         worst = 0.0
         for rec in source.records:
-            m = rec.state.m if isinstance(rec.state, WarpedState) else None
-            exact = exact_state(scn, rec.t, m) if m else exact_state(scn, rec.t)
+            exact = exact_state(scn, rec.t, m, case.representation)
             worst = max(worst, state_error(rec.state, exact))
         add("state_vs_exact", worst, "<=", case.state_error_tol)
 
@@ -221,9 +215,6 @@ def evaluate_case(case: SuiteCase) -> tuple[list[CheckRow], dict[str, Trajectory
         neck = int(np.argmin(rec.state.psi))
         add("picker_at_neck", last.index == neck, "==", None,
             f"picked index {last.index}, neck at {neck}")
-
-    if case.main.monitors is not None:
-        rows = [row for row in rows if row.check in case.main.monitors]
     return rows, trajs
 
 

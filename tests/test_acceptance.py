@@ -15,7 +15,7 @@ from rhflow.convergence import s_residual_study
 from rhflow.flow import FlowConfig, run
 from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState,
                              compute_curvature, scale_state)
-from rhflow.oracles import Scenario, exact_warped_state
+from rhflow.oracles import Scenario, exact_state
 from rhflow.runio import read_manifest
 from rhflow.verification import run_verification
 
@@ -40,14 +40,14 @@ def test_criterion_01_oracle_trajectory_accuracy():
     scn = Scenario("torus_list", 2, 1.0, a0=1.0, winding=1)
     cfg = FlowConfig(scenario=scn.id, n=2, alpha=1.0, m=16, dt=1e-3, t_end=1.0,
                      output_every=100)
-    traj = run(cfg, exact_warped_state(scn, 0.0, 16))
+    traj = run(cfg, exact_state(scn, 0.0, 16))
     torus_err = max(abs(rec.state.f[0] ** 2 - (1.0 + rec.t)) / (1.0 + rec.t)
                     for rec in traj.records)
 
     scn = Scenario("shrinking_cylinder", 4, 0.0, psi0=1.0)
     cfg = FlowConfig(scenario=scn.id, n=4, alpha=0.0, m=16, dt=1e-3, t_end=0.2,
                      output_every=10)
-    traj = run(cfg, exact_warped_state(scn, 0.0, 16))
+    traj = run(cfg, exact_state(scn, 0.0, 16))
     cyl_err = max(abs(rec.state.psi[0] ** 2 - (1.0 - 4.0 * rec.t))
                   / (1.0 - 4.0 * rec.t) for rec in traj.records)
 
@@ -133,7 +133,7 @@ def test_criterion_08_volume_control(suite):
             cfg = FlowConfig(scenario=scn.id, n=scn.n, alpha=scn.alpha, m=16,
                              dt=5e-4, t_end=t_end, output_every=every,
                              blowup_threshold=1e6)
-            traj = run(cfg, exact_warped_state(scn, 0.0, 16))
+            traj = run(cfg, exact_state(scn, 0.0, 16))
             resid, _ = analysis.check_volume_evolution(traj)
             spacings.append(every * 5e-4)
             resids.append(resid)
@@ -150,7 +150,7 @@ def test_criterion_09_parabolic_rescaling(suite):
     fields = compute_curvature(state)
     q = fields.max_rm
     rescaled = analysis.parabolic_rescale(state, q)
-    new = compute_curvature(rescaled.state)
+    new = compute_curvature(rescaled)
     rm_dev = abs(new.max_rm - 1.0)
     s_dev = float(np.max(np.abs(new.s_scalar - fields.s_scalar / q))) \
         / (1.0 + float(np.max(np.abs(fields.s_scalar / q))))

@@ -17,14 +17,14 @@ from rhflow.flow import FlowConfig, run
 from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState,
                              ball_volume_constant, compute_curvature, curvature_fields,
                              scale_state)
-from rhflow.oracles import Scenario, exact_warped_state, exact_homogeneous_state
+from rhflow.oracles import Scenario, exact_state
 from rhflow.verification import run_verification
 
 
 def run_scenario(scn, m=32, dt=1e-3, t_end=0.3, output_every=1, **kw):
     cfg = FlowConfig(scenario=scn.id, n=scn.n, alpha=scn.alpha, m=m, dt=dt,
                      t_end=t_end, output_every=output_every, **kw)
-    return run(cfg, exact_warped_state(scn, 0.0, m))
+    return run(cfg, exact_state(scn, 0.0, m))
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,7 @@ def test_s_evolution_homogeneous_sphere():
     scn = Scenario("shrinking_sphere", 3, 0.0)
     cfg = FlowConfig(scenario=scn.id, n=3, alpha=0.0, dt=5e-4, t_end=0.1,
                      output_every=1)
-    traj = run(cfg, exact_homogeneous_state(scn, 0.0))
+    traj = run(cfg, exact_state(scn, 0.0, representation="homogeneous"))
     assert monitor_S_evolution(traj) <= 5e-3
 
 
@@ -247,7 +247,7 @@ def test_picker_perturbed_cylinder_finds_neck():
     scn = Scenario("perturbed_cylinder", 4, 1.0, winding=0, amplitude=0.05)
     cfg = FlowConfig(scenario=scn.id, n=4, alpha=1.0, m=64, t_end=0.3,
                      output_every=5, blowup_threshold=1e6)
-    traj = run(cfg, exact_warped_state(scn, 0.0, 64))
+    traj = run(cfg, exact_state(scn, 0.0, 64))
     assert traj.termination == "blowup_threshold"
     picks = pick_blowup_points(traj)
     last = picks[-1]
@@ -262,10 +262,10 @@ def test_picker_validates_constant():
 
 def test_parabolic_rescale_identity():
     scn = Scenario("torus_list", 2, 1.0, winding=1)
-    state = exact_warped_state(scn, 0.5, 16)
+    state = exact_state(scn, 0.5, 16)
     out = parabolic_rescale(state, 1.0)
-    assert np.array_equal(out.state.f, state.f)
-    assert np.array_equal(out.state.psi, state.psi)
+    assert np.array_equal(out.f, state.f)
+    assert np.array_equal(out.psi, state.psi)
 
 
 def test_parabolic_rescale_normalizes_curvature(cylinder_traj):
@@ -273,7 +273,7 @@ def test_parabolic_rescale_normalizes_curvature(cylinder_traj):
     fields = compute_curvature(state)
     q = fields.max_rm
     out = parabolic_rescale(state, q)
-    new = compute_curvature(out.state)
+    new = compute_curvature(out)
     assert abs(new.max_rm - 1.0) <= 1e-12
     assert np.max(np.abs(new.s_scalar - fields.s_scalar / q)) \
         <= 1e-12 * (1.0 + np.max(np.abs(fields.s_scalar)))
@@ -283,7 +283,7 @@ def test_parabolic_rescale_divides_s_by_q(torus_traj):
     state = torus_traj.records[-1].state
     fields = compute_curvature(state)
     out = parabolic_rescale(state, 10.0)
-    new = compute_curvature(out.state)
+    new = compute_curvature(out)
     assert np.min(new.s_scalar) == pytest.approx(np.min(fields.s_scalar) / 10.0,
                                                  rel=1e-12)
 
@@ -434,7 +434,7 @@ def test_ansatz_is_exactly_preserved():
     scn = Scenario("perturbed_cylinder", 4, 1.0, winding=0, amplitude=0.05)
     cfg = FlowConfig(scenario=scn.id, n=4, alpha=1.0, m=32, dt=5e-4, t_end=0.05,
                      output_every=10)
-    traj = run(cfg, exact_warped_state(scn, 0.0, 32))
+    traj = run(cfg, exact_state(scn, 0.0, 32))
     first = traj.records[0].state
     for rec in traj.records:
         assert type(rec.state) is type(first)
@@ -447,7 +447,7 @@ def test_ansatz_is_exactly_preserved():
 def _pairwise_distortion(traj):
     recs = traj.records
     return analysis._pairwise_distortion(
-        np.stack([analysis._coefficient_logs(rec.state) for rec in recs]),
+        np.stack([rec.state.metric_logs() for rec in recs]),
         np.array([rec.monitor.distortion_rate for rec in recs]),
         np.array([rec.monitor.length for rec in recs]),
         np.array([rec.t for rec in recs]))

@@ -107,17 +107,25 @@ def test_parse_config_validation():
         with pytest.raises(ConfigError, match=f"does not read parameter '{param}'"):
             parse_config({"scenario": scenario, "n": 4, "alpha": 1.0, "t_end": 1.0,
                           "params": {param: 3}})
+    raw = {"scenario": "shrinking_cylinder", "n": 4, "alpha": 1.0, "t_end": 1.0}
     for key, value in (("n", 4.9), ("m", 16.7), ("output_every", 2.5)):
-        raw = {"scenario": "shrinking_cylinder", "n": 4, "alpha": 1.0, "t_end": 1.0}
         with pytest.raises(ConfigError, match=f"'{key}' must be a whole number"):
             parse_config(dict(raw, **{key: value}))
+    for key in ("alpha", "output_every"):
+        with pytest.raises(ConfigError, match=f"'{key}' must be a number, got True"):
+            parse_config(dict(raw, **{key: True}))
+    with pytest.raises(ConfigError, match=r"snapshot_every \(15\) must be a multiple "
+                                          r"of output_every \(10\)"):
+        parse_config(dict(raw, output_every=10, snapshot_every=15))
 
 
 @pytest.mark.parametrize("text", [
     "scenario: torus_list\nn: 3\nalpha: 1.0\nt_end: 0.1\n",
     "scenario: perturbed_cylinder\nn: 4\nalpha: 1.0\nt_end: 0.1\nparams:\n  winding: 3\n",
     CYLINDER_CONFIG.replace("blowup_threshold: 1.0e6", "blowup_threshold: 1.0"),
-], ids=["torus_list_n3", "unread_winding", "threshold_below_initial_rm"])
+    FLAT_CONFIG.replace("snapshot_every: 20", "snapshot_every: 15"),
+], ids=["torus_list_n3", "unread_winding", "threshold_below_initial_rm",
+        "snapshots_off_the_record_cadence"])
 def test_bad_scenario_input_exits_2_without_output(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
@@ -176,7 +184,10 @@ def test_resume_corrupt_checkpoint(tmp_path, capsys):
     (("n: 4", "n: 5"), "checkpoint error: checkpoint n 4 does not match config n 5"),
     (("alpha: 0.0", "alpha: 0.5"), "checkpoint error: checkpoint alpha 0.0"),
     (("blowup_threshold: 1.0e6", "blowup_threshold: 3.0"), "config error: blowup_threshold 3"),
-], ids=["m", "n", "alpha", "threshold_below_checkpoint_rm"])
+    (("m: 16", "m: 16\nrepresentation: homogeneous"),
+     "checkpoint error: checkpoint representation warped does not match "
+     "config representation homogeneous"),
+], ids=["m", "n", "alpha", "threshold_below_checkpoint_rm", "representation"])
 def test_resume_refuses_config_contradicting_checkpoint(tmp_path, capsys, edit, message):
     cfg = write_config(tmp_path, CYLINDER_CONFIG)
     out = tmp_path / "out"
@@ -239,20 +250,6 @@ def test_load_config_round_trip(tmp_path):
     assert config.dt == pytest.approx(1e-3)
     assert scn.psi0 == 1.0
     assert representation == "warped"
-
-
-def test_monitor_selection_flags():
-    from rhflow.flow import FlowConfig
-    from rhflow.oracles import Scenario
-    from rhflow.verification import SuiteCase, evaluate_case
-
-    scn = Scenario("torus_list", 2, 1.0, winding=1)
-    cfg = FlowConfig(scenario=scn.id, n=2, alpha=1.0, m=16, dt=1e-3, t_end=0.1,
-                     output_every=10, monitors=("min_s_monotone", "termination"))
-    case = SuiteCase(scn, "warped", "reached_t_end", main=cfg)
-    rows, _ = evaluate_case(case)
-    assert {row.check for row in rows} == {"min_s_monotone", "termination"}
-    assert all(row.passed for row in rows)
 
 
 def test_converge_reports_residual_order(tmp_path):

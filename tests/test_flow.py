@@ -6,7 +6,7 @@ from rhflow.convergence import spatial_study, temporal_study
 from rhflow.flow import FlowConfig, StepError, rhs, rhs_homogeneous, run, step
 from rhflow.geometry import Factor, Fiber, Grid, HomogeneousState, WarpedState, \
     curvature_fields, scale_state
-from rhflow.oracles import Scenario, exact_homogeneous_state, exact_warped_state
+from rhflow.oracles import Scenario, exact_state
 
 
 def test_rhs_torus_coupling():
@@ -46,26 +46,28 @@ def test_step_preserves_stationary_state():
 
 def test_step_torus_one_step():
     scn = Scenario("torus_list", 2, 1.0, winding=1)
-    state = exact_warped_state(scn, 0.0, 16)
+    state = exact_state(scn, 0.0, 16)
     new = step(state, 1e-3)
     assert abs(new.f[0] ** 2 - 1.001) <= 1e-12
 
 
 def test_step_cylinder_one_step():
     scn = Scenario("shrinking_cylinder", 4, 0.0)
-    state = exact_warped_state(scn, 0.0, 16)
+    state = exact_state(scn, 0.0, 16)
     new = step(state, 1e-4)
     assert abs((1.0 - new.psi[0] ** 2) - 4e-4) <= 1e-10
 
 
 def test_step_rejects_overstep():
-    # a step past the cylinder's singular time loses positivity
-    scn = Scenario("shrinking_cylinder", 4, 0.0)
-    state = exact_warped_state(scn, 0.0, 16)
-    with pytest.raises(StepError):
-        step(state, 0.5)
-    with pytest.raises(ValueError):
-        step(state, -1e-3)
+    # a step past the singular time (0.25 for both) loses positivity, of psi
+    # on the warped cylinder and of the coefficient on the homogeneous sphere
+    for scn, representation in ((Scenario("shrinking_cylinder", 4, 0.0), "warped"),
+                                (Scenario("shrinking_sphere", 3, 0.0), "homogeneous")):
+        state = exact_state(scn, 0.0, 16, representation)
+        with pytest.raises(StepError):
+            step(state, 0.5)
+        with pytest.raises(ValueError):
+            step(state, -1e-3)
 
 
 def test_run_flat_reaches_t_end_unchanged():
@@ -83,7 +85,7 @@ def test_run_cylinder_blowup_time():
     scn = Scenario("shrinking_cylinder", 4, 0.0)
     cfg = FlowConfig(scenario=scn.id, n=4, alpha=0.0, m=16, dt=1e-3, t_end=0.3,
                      blowup_threshold=1e6, output_every=10)
-    traj = run(cfg, exact_warped_state(scn, 0.0, 16))
+    traj = run(cfg, exact_state(scn, 0.0, 16))
     assert traj.termination == "blowup_threshold"
     assert abs(traj.final_t - 0.25) <= 0.01 * 0.25
 
@@ -92,7 +94,7 @@ def test_run_torus_final_coefficient():
     scn = Scenario("torus_list", 2, 1.0, winding=1)
     cfg = FlowConfig(scenario=scn.id, n=2, alpha=1.0, m=16, dt=1e-3, t_end=1.0,
                      output_every=100)
-    traj = run(cfg, exact_warped_state(scn, 0.0, 16))
+    traj = run(cfg, exact_state(scn, 0.0, 16))
     a = traj.final_state.f[0] ** 2
     assert abs(a - 2.0) / 2.0 <= 1e-6
 
@@ -101,7 +103,7 @@ def test_run_records_strictly_increasing():
     scn = Scenario("torus_list", 2, 1.0, winding=1)
     cfg = FlowConfig(scenario=scn.id, n=2, alpha=1.0, m=16, dt=1e-3, t_end=0.05,
                      output_every=7)
-    traj = run(cfg, exact_warped_state(scn, 0.0, 16))
+    traj = run(cfg, exact_state(scn, 0.0, 16))
     times = traj.times()
     assert np.all(np.diff(times) > 0)
     assert traj.termination == "reached_t_end"
@@ -111,7 +113,7 @@ def test_run_homogeneous_sphere():
     scn = Scenario("shrinking_sphere", 3, 0.0)
     cfg = FlowConfig(scenario=scn.id, n=3, alpha=0.0, dt=1e-3, t_end=0.125,
                      output_every=25)
-    traj = run(cfg, exact_homogeneous_state(scn, 0.0))
+    traj = run(cfg, exact_state(scn, 0.0, representation="homogeneous"))
     # da/dt is constant, so RK4 is exact: a(t) = 1 - 4t
     assert traj.final_state.coefficients()[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -120,7 +122,7 @@ def test_run_homogeneous_torus_exact():
     scn = Scenario("torus_list", 2, 1.0, winding=1)
     cfg = FlowConfig(scenario=scn.id, n=2, alpha=1.0, dt=1e-2, t_end=1.0,
                      output_every=25)
-    traj = run(cfg, exact_homogeneous_state(scn, 0.0))
+    traj = run(cfg, exact_state(scn, 0.0, representation="homogeneous"))
     assert traj.final_state.coefficients()[0] == pytest.approx(2.0, abs=1e-12)
     assert traj.final_state.coefficients()[1] == pytest.approx(1.0, abs=0.0)
 
@@ -147,7 +149,7 @@ def test_winding_is_conserved():
     scn = Scenario("perturbed_torus", 2, 1.0, winding=3, amplitude=0.05)
     cfg = FlowConfig(scenario=scn.id, n=2, alpha=1.0, m=32, dt=1e-3, t_end=0.05,
                      output_every=10)
-    traj = run(cfg, exact_warped_state(scn, 0.0, 32))
+    traj = run(cfg, exact_state(scn, 0.0, 32))
     assert all(rec.state.winding == 3 for rec in traj.records)
 
 
@@ -252,7 +254,7 @@ def test_run_cylinder_n3():
     scn = Scenario("shrinking_cylinder", 3, 0.0)
     cfg = FlowConfig(scenario=scn.id, n=3, alpha=0.0, m=16, dt=1e-3, t_end=0.6,
                      blowup_threshold=1e6, output_every=20)
-    traj = run(cfg, exact_warped_state(scn, 0.0, 16))
+    traj = run(cfg, exact_state(scn, 0.0, 16))
     assert traj.termination == "blowup_threshold"
     assert abs(traj.final_t - 0.5) <= 0.01 * 0.5
 
@@ -262,7 +264,7 @@ def test_run_torus_winding_two():
     scn = Scenario("torus_list", 2, 0.5, winding=2)
     cfg = FlowConfig(scenario=scn.id, n=2, alpha=0.5, m=16, dt=1e-3, t_end=0.5,
                      output_every=100)
-    traj = run(cfg, exact_warped_state(scn, 0.0, 16))
+    traj = run(cfg, exact_state(scn, 0.0, 16))
     assert traj.final_state.f[0] ** 2 == pytest.approx(2.0, rel=1e-10)
 
 
@@ -272,7 +274,7 @@ def test_alpha_zero_decouples_the_map():
     scn = Scenario("perturbed_torus", 2, 0.0, winding=0, amplitude=0.2)
     cfg = FlowConfig(scenario=scn.id, n=2, alpha=0.0, m=32, dt=1e-3, t_end=0.5,
                      output_every=50)
-    initial = exact_warped_state(scn, 0.0, 32)
+    initial = exact_state(scn, 0.0, 32)
     traj = run(cfg, initial)
     assert np.array_equal(traj.final_state.f, initial.f)
     assert np.array_equal(traj.final_state.psi, initial.psi)

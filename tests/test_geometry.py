@@ -5,8 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState,
-                             compute_curvature, compute_curvature_homogeneous,
-                             reduced_lengths_and_volume, scale_state)
+                             compute_curvature, compute_curvature_homogeneous, scale_state)
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,7 +32,7 @@ def test_flat_state_has_zero_curvature():
     fields = compute_curvature(flat_state())
     for arr in (fields.k_rad, fields.k_fib, fields.scalar, fields.ric_sq,
                 fields.rm_sq, fields.weyl_sq, fields.grad_phi_sq, fields.lap_phi,
-                fields.s_scalar, fields.s_tensor_sq):
+                fields.s_scalar):
         assert np.all(arr == 0.0)
 
 
@@ -169,7 +168,7 @@ def test_factor_validation():
 
 def test_lengths_and_volume_flat():
     state = WarpedState(2, Fiber.FLAT_TORUS, 0.0, np.ones(64), np.ones(64))
-    length, vol = reduced_lengths_and_volume(state)
+    length, vol = state.length_volume()
     assert length == pytest.approx(TWO_PI, rel=1e-14)
     assert vol == pytest.approx(TWO_PI**2, rel=1e-14)
 
@@ -178,7 +177,7 @@ def test_length_constant_rescale():
     a = 3.7
     state = WarpedState(2, Fiber.FLAT_TORUS, 0.0, math.sqrt(a) * np.ones(32),
                         np.ones(32))
-    length, _ = reduced_lengths_and_volume(state)
+    length, _ = state.length_volume()
     assert length == pytest.approx(TWO_PI * math.sqrt(a), rel=1e-14)
 
 
@@ -186,7 +185,22 @@ def test_volume_against_independent_quadrature():
     m = 64
     x = Grid(m).x
     state = WarpedState(3, Fiber.ROUND_SPHERE, 0.0, np.ones(m), 2.0 + np.sin(x))
-    _, vol = reduced_lengths_and_volume(state)
+    _, vol = state.length_volume()
     ref, _ = quad(lambda s: (2.0 + math.sin(s)) ** 2, 0.0, TWO_PI, epsabs=1e-13)
     ref *= 4.0 * math.pi  # unit S^2 fiber area
     assert abs(vol - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("state", [
+    smooth_state(m=16),
+    HomogeneousState(4, 1.0, (Factor(2.0, Fiber.FLAT_TORUS, 1, slope=1.0),
+                              Factor(1.5, Fiber.ROUND_SPHERE, 3))),
+], ids=["warped", "homogeneous"])
+def test_state_interface(state):
+    arrays = state.arrays()
+    back = state.evolved(arrays, 0.5)
+    assert type(back) is type(state) and back.t == 0.5
+    assert all(np.array_equal(a, b) for a, b in zip(back.arrays(), arrays))
+    ones = np.ones_like(arrays[0])
+    assert state.integrate(ones) == state.length_volume()[1]
+    assert np.all(state.laplacian(ones) == 0.0)

@@ -5,8 +5,7 @@ from rhflow.flow import rhs, rhs_homogeneous
 from rhflow.geometry import WarpedState
 from rhflow.cli import build_parser
 from rhflow.oracles import (SCENARIO_IDS, SCENARIOS, Scenario, default_scenario,
-                            exact_homogeneous_state, exact_state, exact_warped_state,
-                            initial_state, singular_time)
+                            exact_state, singular_time)
 from rhflow.runio import ConfigError, parse_config
 from rhflow.verification import build_suite
 
@@ -31,11 +30,11 @@ def _fd_time_derivative(fn, t):
 ])
 def test_exact_warped_state_satisfies_rhs(scn, t):
     m = 16
-    state = exact_warped_state(scn, t, m)
+    state = exact_state(scn, t, m)
     df, dpsi, du = rhs(state)
-    fd_f = _fd_time_derivative(lambda s: exact_warped_state(scn, s, m).f, t)
-    fd_psi = _fd_time_derivative(lambda s: exact_warped_state(scn, s, m).psi, t)
-    fd_u = _fd_time_derivative(lambda s: exact_warped_state(scn, s, m).u, t)
+    fd_f = _fd_time_derivative(lambda s: exact_state(scn, s, m).f, t)
+    fd_psi = _fd_time_derivative(lambda s: exact_state(scn, s, m).psi, t)
+    fd_u = _fd_time_derivative(lambda s: exact_state(scn, s, m).u, t)
     assert np.max(np.abs(df - fd_f)) <= 1e-10
     assert np.max(np.abs(dpsi - fd_psi)) <= 1e-10
     assert np.max(np.abs(du - fd_u)) <= 1e-10
@@ -47,21 +46,22 @@ def test_exact_warped_state_satisfies_rhs(scn, t):
     (Scenario("shrinking_cylinder", 4, 0.0), 0.1),
 ])
 def test_exact_homogeneous_state_satisfies_rhs(scn, t):
-    state = exact_homogeneous_state(scn, t)
+    state = exact_state(scn, t, representation="homogeneous")
     rates = rhs_homogeneous(state)
-    fd = _fd_time_derivative(lambda s: exact_homogeneous_state(scn, s).coefficients(), t)
+    fd = _fd_time_derivative(
+        lambda s: exact_state(scn, s, representation="homogeneous").coefficients(), t)
     assert np.max(np.abs(rates - fd)) <= 1e-10
 
 
 def test_torus_time_one():
     scn = Scenario("torus_list", 2, 1.0, winding=1)
-    state = exact_warped_state(scn, 1.0, 16)
+    state = exact_state(scn, 1.0, 16)
     assert state.f[0] ** 2 == pytest.approx(2.0, rel=1e-15)
 
 
 def test_sphere_coefficient_and_singular_time():
     scn = Scenario("shrinking_sphere", 3, 0.0)
-    state = exact_homogeneous_state(scn, 0.125)
+    state = exact_state(scn, 0.125, representation="homogeneous")
     assert state.coefficients()[0] == pytest.approx(0.5, rel=1e-15)
     assert singular_time(scn) == pytest.approx(0.25)
 
@@ -80,7 +80,7 @@ def test_no_singular_time_for_stable_scenarios():
 
 def test_initial_data_matches_configured_parameters():
     scn = Scenario("perturbed_cylinder", 4, 1.0, winding=0, amplitude=0.05)
-    state = initial_state(scn, 32)
+    state = exact_state(scn, 0.0, 32)
     assert isinstance(state, WarpedState)
     assert state.psi.min() == pytest.approx(0.95, abs=1e-12)
     assert state.psi.max() == pytest.approx(1.05, abs=1e-12)
@@ -100,7 +100,7 @@ def test_torus_s_closed_form_is_increasing():
     from rhflow.geometry import compute_curvature
     values = []
     for t in (0.0, 0.5, 1.0, 2.0):
-        fields = compute_curvature(exact_warped_state(scn, t, 16))
+        fields = compute_curvature(exact_state(scn, t, 16))
         a = 1.0 + t
         assert fields.s_scalar[0] == pytest.approx(-1.0 / a, rel=1e-13)
         values.append(fields.s_scalar[0])
