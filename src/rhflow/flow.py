@@ -22,10 +22,24 @@ state, over the state's arrays() (f, psi, u or the coefficients), with
 the parabolic step bound dt <= c_cfl * min(f h)^2 on warped grids, a
 relative-change rate limiter for the approach to blow-up, and a
 halve-and-retry policy on steps that produce non-finite values or lose
-positivity of the metric arrays.  Steps are first-same-as-last: the
-curvature fields of each accepted state, which the blow-up test and the
-monitors need anyway, give the next k1 through the derivative kernel
-that rhs uses, so k1 equals rhs(state) bit for bit.  The other three
+positivity of the metric arrays.
+
+The parabolic bound comes from the scheme.  The second s-derivatives
+(psi_ss, phi_ss) are the nested central difference (1/f) Dx((1/f) Dx),
+whose eigenvalues are -sin^2(kh)/(f h)^2 when f is constant; when f
+varies, Gershgorin's theorem bounds its spectral radius by
+1/min(f h)^2.  RK4's stability polynomial on the negative real axis,
+R(-z) = 1 - z + z^2/2 - z^3/6 + z^4/24, has |R| <= 1 up to
+z = _RK4_REAL_LIMIT = 2.7853 (where R = 1 again), so c_cfl may not
+exceed that.  The default 1.0 keeps a factor 2.8 below the linear limit
+for the lower-order and nonlinear terms; on the perturbed_cylinder neck
+every c_cfl up to the limit reaches the same blow-up time with every
+estimate monitor passing, and 3.0 breaks the minimum principle.
+
+Steps are first-same-as-last: the curvature fields of each accepted
+state, which the blow-up test and the monitors need anyway, give the
+next k1 through the derivative kernel that rhs uses, so k1 equals
+rhs(state) bit for bit.  The other three
 stages are bare arrays passed to rhs; a stage whose metric arrays are
 not positive rejects the step.  Only the accepted state is built, and
 validated, through state.evolved.
@@ -48,6 +62,13 @@ _COUPLING_SIGN = 1.0
 
 _MAX_HALVINGS = 20
 
+# RK4 is stable on [-z, 0] while |R(-z)| = |1 - z + z^2/2 - z^3/6 + z^4/24|
+# <= 1; R dips to 0.27 and returns to 1 at the real root of R(-z) = 1,
+# i.e. of z^3 - 4 z^2 + 12 z - 24 = 0.  The discrete Laplacian's spectral
+# radius is at most 1/min(f h)^2, so dt <= c_cfl * min(f h)^2 is linearly
+# stable for c_cfl up to this root.
+_RK4_REAL_LIMIT = 2.785293563405282
+
 
 class StepError(RuntimeError):
     """A step produced non-finite values or lost metric positivity."""
@@ -62,7 +83,7 @@ class FlowConfig:
     alpha: float = 0.0
     fiber: Fiber = Fiber.ROUND_SPHERE
     m: int = 64
-    c_cfl: float = 0.1
+    c_cfl: float = 1.0
     dt: float | None = None
     t_end: float = 1.0
     blowup_threshold: float = 1e6
@@ -76,8 +97,8 @@ class FlowConfig:
         self.fiber = Fiber(self.fiber)
         if self.t_end <= 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not (0.0 < self.c_cfl <= 1.0):
-            raise ValueError(f"c_cfl must lie in (0, 1], got {self.c_cfl}")
+        if not (0.0 < self.c_cfl <= _RK4_REAL_LIMIT):
+            raise ValueError(f"c_cfl must lie in (0, {_RK4_REAL_LIMIT}], got {self.c_cfl}")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.blowup_threshold <= 0.0:

@@ -47,16 +47,19 @@ class CheckpointError(RuntimeError):
 def _typed(cls, values: dict) -> dict:
     """values with each entry converted to the int (whole numbers only) or
     float that the dataclass cls annotates for it (YAML reads 1e-3 as a
-    string); None stays None where the annotation allows it.  A boolean
-    is not taken as a number."""
+    string); None stays None where the annotation allows it.  A boolean,
+    or anything else float() cannot read, is refused naming the field."""
     kinds = {fld.name: fld.type for fld in fields(cls)}
     out = {}
     for key, value in values.items():
         kind = kinds[key]
         if kind in _NUMBER and not (value is None and kind.endswith("None")):
-            if isinstance(value, bool):
+            try:
+                number = None if isinstance(value, bool) else float(value)
+            except (TypeError, ValueError, OverflowError):
+                number = None
+            if number is None:
                 raise ConfigError(f"field {key!r} must be a number, got {value!r}")
-            number = float(value)
             if kind == "int" and not number.is_integer():
                 raise ConfigError(f"field {key!r} must be a whole number, got {value!r}")
             value = _NUMBER[kind](number)
@@ -89,9 +92,13 @@ def parse_config(raw: dict) -> tuple[FlowConfig, Scenario, str]:
         raise ConfigError(f"scenario {scenario_id!r} does not read parameter "
                           f"{sorted(unread)[0]!r}; it reads {sorted(spec.params)}")
 
+    # n and alpha are run fields: typed with the others, named without the
+    # scenario-parameter label that params entries get
+    settings = _typed(FlowConfig, {key: raw[key] for key in raw
+                                   if key not in ("representation", "params")})
     try:
-        scn = Scenario(scenario_id, **_typed(Scenario, dict(params, n=raw["n"],
-                                                            alpha=raw["alpha"])))
+        scn = Scenario(scenario_id, n=settings["n"], alpha=settings["alpha"],
+                       **_typed(Scenario, params))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario parameters: {exc}") from exc
 
@@ -100,11 +107,8 @@ def parse_config(raw: dict) -> tuple[FlowConfig, Scenario, str]:
         raise ConfigError(f"scenario {scenario_id!r} has no {representation!r} "
                           f"representation; it has {spec.representations}")
 
-    settings = {key: raw[key] for key in raw if key not in ("representation", "params")}
-    settings.update(n=scn.n, alpha=scn.alpha)
     try:
-        cfg = FlowConfig(**_typed(FlowConfig, settings), fiber=spec.fiber,
-                         params=dict(params))
+        cfg = FlowConfig(**settings, fiber=spec.fiber, params=dict(params))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     return cfg, scn, representation
@@ -207,12 +211,19 @@ def load_snapshot(path) -> tuple[State, int]:
         return _state_from_arrays(data), int(data["step"])
 
 
+# The step control a run was started with; a resumed leg must take the
+# same steps, so the checkpoint keeps it (dt None is stored as NaN).
+_STEP_CONTROL = ("c_cfl", "dt", "rate_limit")
+
+
 def save_checkpoint(path, traj: Trajectory):
-    mon = traj.monitor_state
+    mon, cfg = traj.monitor_state, traj.config
     np.savez(path, step=traj.steps,
              mon=np.array([mon.min_s0, mon.sup_r, mon.acc_r, mon.acc_w,
                            mon.prev_t, mon.prev_ir, mon.prev_iw, mon.eps0]),
-             scenario=traj.config.scenario,
+             scenario=cfg.scenario,
+             **{key: np.nan if getattr(cfg, key) is None else getattr(cfg, key)
+                for key in _STEP_CONTROL},
              **_state_arrays(traj.final_state))
 
 
@@ -227,6 +238,13 @@ def load_checkpoint(path, config: FlowConfig | None = None,
             steps = int(data["step"])
             vals = np.asarray(data["mon"], dtype=float)
             stored = dict(scenario=str(data["scenario"]), representation=str(data["kind"]))
+            missing = [key for key in _STEP_CONTROL if key not in data]
+            if missing:
+                raise CheckpointError(f"checkpoint {path} lacks the step-control keys "
+                                      f"{missing}; it was written by an older rhflow "
+                                      f"and cannot be resumed")
+            stored.update({key: None if np.isnan(data[key]) else float(data[key])
+                           for key in _STEP_CONTROL})
     except CheckpointError:
         raise
     except Exception as exc:
@@ -238,6 +256,11 @@ def load_checkpoint(path, config: FlowConfig | None = None,
         want = representation if key == "representation" else getattr(config, key, None)
         if found is not None and want is not None and found != want:
             raise CheckpointError(f"checkpoint {key} {found} does not match config {key} {want}")
+    if config is not None:
+        for key in _STEP_CONTROL:
+            if stored[key] != getattr(config, key):  # dt None (unset) included
+                raise CheckpointError(f"checkpoint {key} {stored[key]} does not match "
+                                      f"config {key} {getattr(config, key)}")
     mon = MonitorState(min_s0=vals[0], sup_r=vals[1], acc_r=vals[2], acc_w=vals[3],
                        prev_t=vals[4], prev_ir=vals[5], prev_iw=vals[6], eps0=vals[7])
     return state, steps, mon

@@ -5,8 +5,10 @@ import pytest
 
 import rhflow.flow
 from rhflow.cli import main
-from rhflow.runio import (ConfigError, load_config, parse_config, read_manifest,
-                          read_series)
+from rhflow.flow import run
+from rhflow.oracles import exact_state
+from rhflow.runio import (ConfigError, load_config, load_snapshot, parse_config,
+                          read_manifest, read_series)
 from rhflow.verification import run_verification
 
 FLAT_CONFIG = """\
@@ -114,6 +116,17 @@ def test_parse_config_validation():
     for key in ("alpha", "output_every"):
         with pytest.raises(ConfigError, match=f"'{key}' must be a number, got True"):
             parse_config(dict(raw, **{key: True}))
+    # n and alpha are run fields, not scenario parameters; params entries
+    # keep that label
+    for key, value, message in (("alpha", True, "field 'alpha' must be a number, got True"),
+                                ("n", "four", "field 'n' must be a number, got 'four'")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(dict(raw, **{key: value}))
+        assert str(err.value) == message
+    with pytest.raises(ConfigError) as err:
+        parse_config(dict(raw, params={"psi0": "abc"}))
+    assert str(err.value) == ("invalid scenario parameters: "
+                              "field 'psi0' must be a number, got 'abc'")
     with pytest.raises(ConfigError, match=r"snapshot_every \(15\) must be a multiple "
                                           r"of output_every \(10\)"):
         parse_config(dict(raw, output_every=10, snapshot_every=15))
@@ -124,8 +137,9 @@ def test_parse_config_validation():
     "scenario: perturbed_cylinder\nn: 4\nalpha: 1.0\nt_end: 0.1\nparams:\n  winding: 3\n",
     CYLINDER_CONFIG.replace("blowup_threshold: 1.0e6", "blowup_threshold: 1.0"),
     FLAT_CONFIG.replace("snapshot_every: 20", "snapshot_every: 15"),
+    FLAT_CONFIG + "c_cfl: 3.0\n",
 ], ids=["torus_list_n3", "unread_winding", "threshold_below_initial_rm",
-        "snapshots_off_the_record_cadence"])
+        "snapshots_off_the_record_cadence", "c_cfl_above_rk4_limit"])
 def test_bad_scenario_input_exits_2_without_output(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
@@ -179,6 +193,22 @@ def test_resume_corrupt_checkpoint(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err.lower()
 
 
+def test_resume_refuses_checkpoint_without_step_control(tmp_path, capsys):
+    # a checkpoint from before c_cfl, dt and rate_limit were stored cannot
+    # show that the resumed leg takes the same steps
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    out = tmp_path / "out"
+    main(["run", str(cfg), "-o", str(out), "--max-steps", "10"])
+    with np.load(out / "checkpoint.npz") as data:
+        arrays = {key: data[key] for key in data if key not in ("c_cfl", "dt", "rate_limit")}
+    np.savez(out / "checkpoint.npz", **arrays)
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and "lacks the step-control keys" in err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (("m: 16", "m: 32"), "checkpoint error: checkpoint m 16 does not match config m 32"),
     (("n: 4", "n: 5"), "checkpoint error: checkpoint n 4 does not match config n 5"),
@@ -187,7 +217,14 @@ def test_resume_corrupt_checkpoint(tmp_path, capsys):
     (("m: 16", "m: 16\nrepresentation: homogeneous"),
      "checkpoint error: checkpoint representation warped does not match "
      "config representation homogeneous"),
-], ids=["m", "n", "alpha", "threshold_below_checkpoint_rm", "representation"])
+    (("m: 16", "m: 16\nc_cfl: 0.1"),
+     "checkpoint error: checkpoint c_cfl 1.0 does not match config c_cfl 0.1"),
+    (("dt: 1.0e-3\n", ""),
+     "checkpoint error: checkpoint dt 0.001 does not match config dt None"),
+    (("m: 16", "m: 16\nrate_limit: 0.1"),
+     "checkpoint error: checkpoint rate_limit 0.05 does not match config rate_limit 0.1"),
+], ids=["m", "n", "alpha", "threshold_below_checkpoint_rm", "representation",
+        "c_cfl", "dt", "rate_limit"])
 def test_resume_refuses_config_contradicting_checkpoint(tmp_path, capsys, edit, message):
     cfg = write_config(tmp_path, CYLINDER_CONFIG)
     out = tmp_path / "out"
@@ -286,3 +323,37 @@ def test_homogeneous_run_and_resume(tmp_path):
     assert (part / "series.jsonl").read_bytes() == (full / "series.jsonl").read_bytes()
     resumed = read_manifest(part / "manifest.json")
     assert resumed["summary"]["records"] == manifest["summary"]["records"]
+
+
+PERTURBED_TORUS_CONFIG = """\
+scenario: perturbed_torus
+n: 2
+alpha: 1.0
+t_end: 0.05
+m: 32
+dt: 1.0e-3
+output_every: 5
+snapshot_every: 10
+params:
+  amplitude: 0.1
+"""
+
+
+@pytest.mark.parametrize("text", [PERTURBED_TORUS_CONFIG, SPHERE_CONFIG],
+                         ids=["warped_perturbed_torus", "homogeneous_shrinking_sphere"])
+def test_snapshots_reload_bit_exactly(tmp_path, text):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    config, scn, representation = load_config(cfg)
+    traj = run(config, exact_state(scn, 0.0, config.m, representation))
+    by_step = {rec.step: rec.state for rec in traj.records}
+    paths = sorted((out / "snapshots").glob("state_*.npz"))
+    assert len(paths) >= 3
+    for path in paths:
+        state, step = load_snapshot(path)
+        want = by_step[step]
+        assert path.name == f"state_{step:08d}.npz"
+        assert type(state) is type(want) and state.t == want.t
+        for got, expected in zip(state.arrays(), want.arrays()):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from rhflow import flow
+from rhflow import analysis, flow
 from rhflow.convergence import spatial_study, temporal_study
 from rhflow.flow import FlowConfig, StepError, rhs, rhs_homogeneous, run, step
 from rhflow.geometry import Factor, Fiber, Grid, HomogeneousState, WarpedState, \
     curvature_fields, scale_state
-from rhflow.oracles import Scenario, exact_state
+from rhflow.oracles import Scenario, default_scenario, exact_state
 
 
 def test_rhs_torus_coupling():
@@ -214,12 +214,43 @@ def test_nonfinite_termination_when_steps_stall():
 def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(t_end=-1.0)
-    with pytest.raises(ValueError):
-        FlowConfig(c_cfl=1.5)
+    for c_cfl in (3.0, 0.0):
+        with pytest.raises(ValueError, match="c_cfl must lie in"):
+            FlowConfig(c_cfl=c_cfl)
+    for c_cfl in (1.5, flow._RK4_REAL_LIMIT):
+        assert FlowConfig(c_cfl=c_cfl).c_cfl == c_cfl
     with pytest.raises(ValueError):
         FlowConfig(dt=0.0)
     with pytest.raises(ValueError):
         FlowConfig(output_every=0)
+
+
+def test_cfl_cap_is_rk4_real_axis_stability_limit():
+    # RK4's stability polynomial at -z; the cap is where |R| returns to 1
+    def amplification(z):
+        return abs(1.0 - z + z**2 / 2.0 - z**3 / 6.0 + z**4 / 24.0)
+
+    cap = flow._RK4_REAL_LIMIT
+    assert amplification(cap) == pytest.approx(1.0, abs=1e-12)
+    for z in np.linspace(1e-6, cap * (1.0 - 1e-9), 2001):
+        assert amplification(z) < 1.0
+
+
+def test_neck_at_the_cfl_cap_keeps_the_estimates():
+    # the stability limit is a usable setting: the m=128 neck runs to
+    # blow-up in 132 steps (187 at the default) with every estimate gate
+    scn = default_scenario("perturbed_cylinder")
+    cfg = FlowConfig(scenario=scn.id, n=4, alpha=1.0, m=128, t_end=0.3,
+                     c_cfl=flow._RK4_REAL_LIMIT, output_every=10)
+    traj = run(cfg, exact_state(scn, 0.0, cfg.m))
+    assert traj.termination == "blowup_threshold"
+    assert traj.steps == 132
+    assert abs(traj.final_t - 0.230415) <= 0.01 * 0.230415
+    first = traj.records[0].monitor
+    assert analysis.check_min_S_monotone(traj) <= 1e-8
+    assert analysis.check_gradient_bound(traj) >= -1e-8
+    assert analysis.check_volume_evolution(traj)[1] >= -1e-10
+    assert analysis.check_phi_max_principle(traj) <= 1e-8 * (first.phi_max - first.phi_min) + 1e-12
 
 
 def test_reduced_flow_matches_tensor_equation_via_oracle():
