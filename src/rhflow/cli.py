@@ -1,8 +1,8 @@
 """Command-line entry point: run / verify / converge / resume.
 
 Exit codes: 0 success (including blow-up terminations), 1 failed
-verification checks, 2 configuration or usage errors, 3 a run that
-ended with non-finite values.
+verification checks, 2 configuration, usage or I/O errors, 3 a run
+that ended with non-finite values.
 """
 from __future__ import annotations
 
@@ -18,29 +18,26 @@ from .flow import FlowConfig, Trajectory, run
 from .oracles import SCENARIO_IDS, default_scenario, exact_state
 
 
+# What a run directory holds; `rhflow run` refuses a directory with any of it.
+_RUN_ENTRIES = ("config.yaml", "series.jsonl", "checkpoint.npz", "manifest.json",
+                runio.SNAPSHOT_DIR)
+
+
 def _write_outputs(outdir: Path, config: FlowConfig, traj: Trajectory, *,
                    append: bool) -> list[str]:
-    """Write series, snapshots and checkpoint; returns relative paths."""
-    files = ["config.yaml", "series.jsonl", "checkpoint.npz"]
+    """Write series, the leg's snapshot file and the checkpoint, in that
+    order (the checkpoint commits the leg); returns relative paths."""
     series = outdir / "series.jsonl"
     if append:
         runio.append_series(series, traj.records)
     else:
         runio.write_series(series, traj.records)
-
-    if config.snapshot_every > 0:
-        snapdir = outdir / "snapshots"
-        snapdir.mkdir(exist_ok=True)
-        for rec in traj.records:
-            if rec.step % config.snapshot_every == 0:
-                name = f"snapshots/state_{rec.step:08d}.npz"
-                runio.save_snapshot(outdir / name, rec.state, rec.step)
-    snapdir = outdir / "snapshots"
-    if snapdir.is_dir():
-        files += sorted(f"snapshots/{p.name}" for p in snapdir.glob("state_*.npz"))
-
+    leg = runio.snapshot_leg(traj.records, config.snapshot_every)
+    if leg is not None:
+        name, states, steps = leg
+        runio.save_snapshot(outdir / name, states, steps)
     runio.save_checkpoint(outdir / "checkpoint.npz", traj)
-    return files
+    return ["config.yaml", "series.jsonl", "checkpoint.npz"] + runio.snapshot_files(outdir)
 
 
 def _finalize(outdir: Path, config: FlowConfig, representation: str,
@@ -66,13 +63,18 @@ def cmd_run(args) -> int:
     except runio.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    outdir = Path(args.output)
+    held = [name for name in _RUN_ENTRIES if (outdir / name).exists()]
+    if held:
+        print(f"usage error: {outdir} already holds a run ({held[0]}); give a new or "
+              f"empty directory, or resume that run", file=sys.stderr)
+        return 2
     try:
         initial = exact_state(scn, 0.0, config.m, representation)
         traj = run(config, initial, stop_after_steps=args.max_steps)
     except ValueError as exc:  # initial data that the grid or the bounds reject
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(args.config, outdir / "config.yaml")
     files = _write_outputs(outdir, config, traj, append=False)
@@ -96,12 +98,17 @@ def cmd_resume(args) -> int:
     except runio.CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 2
+    if args.max_steps is not None and args.max_steps <= steps:
+        print(f"usage error: --max-steps {args.max_steps} must exceed the "
+              f"{steps} steps the checkpoint has already taken", file=sys.stderr)
+        return 2
     try:
         traj = run(config, state, steps_done=steps, monitor_state=monitor_state,
                    stop_after_steps=args.max_steps)
     except ValueError as exc:  # a blowup_threshold the checkpoint already exceeds
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    runio.discard_past(outdir, steps, state.t)
     files = _write_outputs(outdir, config, traj, append=True)
     return _finalize(outdir, config, representation, traj, files)
 
@@ -141,6 +148,16 @@ def cmd_converge(args) -> int:
     return 0
 
 
+def _step_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rhflow",
                                      description="Coupled metric/map flow laboratory")
@@ -150,13 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate a configured flow")
     p_run.add_argument("config", help="YAML config file")
     p_run.add_argument("-o", "--output", required=True, help="output directory")
-    p_run.add_argument("--max-steps", type=int, default=None,
-                       help="stop (resumably) after this many steps")
+    p_run.add_argument("--max-steps", type=_step_count, default=None,
+                       help="stop (resumably) once the run has taken this many steps")
     p_run.set_defaults(func=cmd_run)
 
     p_res = sub.add_parser("resume", help="continue an interrupted run")
     p_res.add_argument("rundir", help="run directory with checkpoint.npz")
-    p_res.add_argument("--max-steps", type=int, default=None)
+    p_res.add_argument("--max-steps", type=_step_count, default=None,
+                       help="stop (resumably) once the run has taken this many steps "
+                            "in total; must exceed the checkpoint's step count")
     p_res.set_defaults(func=cmd_resume)
 
     p_ver = sub.add_parser("verify", help="run the estimate verification suite")
@@ -176,7 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

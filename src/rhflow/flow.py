@@ -256,9 +256,13 @@ def run(config: FlowConfig, initial: State, *,
     Snapshots and monitor summaries are recorded every output_every
     steps and at termination.  Deterministic for a fixed config and
     initial state.  steps_done/monitor_state allow bit-exact
-    continuation from a checkpoint; stop_after_steps interrupts the run
-    without terminating it (the trajectory then has termination None).
+    continuation from a checkpoint; stop_after_steps, which must exceed
+    steps_done, interrupts the run once it has taken that many steps in
+    all, without terminating it (the trajectory then has termination None).
     """
+    if stop_after_steps is not None and stop_after_steps <= steps_done:
+        raise ValueError(f"stop_after_steps {stop_after_steps} must exceed the "
+                         f"{steps_done} steps already done")
     state = initial.copy()
     fields = curvature_fields(state)
     if fields.max_rm >= config.blowup_threshold:

@@ -2,12 +2,15 @@
 manifests.
 
 One canonical config format (YAML, documented in the README), one
-line-delimited JSON time-series format, and float64 .npz snapshots
-chosen so checkpointed state round-trips bit-exactly for resume.
+line-delimited JSON time-series format, and float64 .npz snapshots (one
+file per run leg) chosen so checkpointed state round-trips bit-exactly
+for resume.  Snapshot files, checkpoints and manifests are replaced
+atomically.
 """
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -37,7 +40,7 @@ class ConfigError(ValueError):
 
 
 class CheckpointError(RuntimeError):
-    """Unreadable or inconsistent checkpoint file."""
+    """Unreadable or inconsistent checkpoint or snapshot file."""
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +175,41 @@ def read_series(path) -> list[dict]:
 # snapshots and checkpoints
 
 
-def _state_arrays(state: State) -> dict:
+def _replace_atomically(path, write):
+    """Call write(fh) on a temp file beside path, then os.replace it onto
+    path: a reader, or a resume after a killed process, sees the old file
+    or the new one, never part of one.  The temp file is removed if the
+    write fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# The arrays a state evolves, by state kind, in State.arrays() order.
+_ARRAY_KEYS = {"warped": ("f", "psi", "u"), "homogeneous": ("coeffs",)}
+
+
+def _state_constants(state: State) -> dict:
+    """The keys a run keeps fixed, as plain values (comparable with ==)."""
     if isinstance(state, WarpedState):
-        return dict(kind="warped", n=state.n, alpha=state.alpha, t=state.t,
-                    fiber=state.fiber.value, winding=state.winding,
-                    f=state.f, psi=state.psi, u=state.u)
-    return dict(kind="homogeneous", n=state.n, alpha=state.alpha, t=state.t,
-                coeffs=state.coefficients(),
-                factor_kinds=np.array([fac.kind.value for fac in state.factors]),
-                factor_dims=np.array([fac.dim for fac in state.factors]),
-                factor_slopes=np.array([fac.slope for fac in state.factors]))
+        return dict(kind="warped", n=state.n, alpha=state.alpha,
+                    fiber=state.fiber.value, winding=state.winding)
+    return dict(kind="homogeneous", n=state.n, alpha=state.alpha,
+                factor_kinds=[fac.kind.value for fac in state.factors],
+                factor_dims=[fac.dim for fac in state.factors],
+                factor_slopes=[fac.slope for fac in state.factors])
+
+
+def _state_arrays(state: State) -> dict:
+    constants = _state_constants(state)
+    return dict(constants, t=state.t, **dict(zip(_ARRAY_KEYS[constants["kind"]],
+                                                 state.arrays())))
 
 
 def _state_from_arrays(data) -> State:
@@ -202,13 +230,80 @@ def _state_from_arrays(data) -> State:
     raise CheckpointError(f"unknown state kind {kind!r}")
 
 
-def save_snapshot(path, state: State, step: int):
-    np.savez(path, step=step, **_state_arrays(state))
+SNAPSHOT_DIR = "snapshots"
 
 
-def load_snapshot(path) -> tuple[State, int]:
-    with np.load(path, allow_pickle=False) as data:
-        return _state_from_arrays(data), int(data["step"])
+def snapshot_leg(records, every: int) -> tuple[str, list[State], list[int]] | None:
+    """The snapshot file of one run leg (one `rhflow run` or `resume`): its
+    name relative to the run directory, and the states and steps of the
+    records on the snapshot_every cadence.  None when the leg takes no
+    snapshot."""
+    taken = [rec for rec in records if every > 0 and rec.step % every == 0]
+    if not taken:
+        return None
+    first, last = taken[0].step, taken[-1].step
+    return (f"{SNAPSHOT_DIR}/states_{first:08d}_{last:08d}.npz",
+            [rec.state for rec in taken], [rec.step for rec in taken])
+
+
+def snapshot_files(rundir) -> list[str]:
+    """The snapshot files in a run directory, relative to it, sorted."""
+    return sorted(f"{SNAPSHOT_DIR}/{p.name}" for p in Path(rundir, SNAPSHOT_DIR).glob("*.npz"))
+
+
+def save_snapshot(path, states: list[State], steps: list[int]):
+    """Write the states of one run leg, in step order, to one file: the
+    run constants once, and step, t and each state array stacked along a
+    leading axis with one entry per state."""
+    if not states or len(states) != len(steps) or np.any(np.diff(steps) <= 0):
+        raise ValueError("a snapshot file needs one state per step, in increasing step order")
+    constants = _state_constants(states[0])
+    if any(_state_constants(state) != constants for state in states[1:]):
+        raise ValueError("the states of a snapshot file must come from one run")
+    columns = zip(*(state.arrays() for state in states))
+    stacked = {key: np.stack(column)
+               for key, column in zip(_ARRAY_KEYS[constants["kind"]], columns)}
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    _replace_atomically(path, lambda fh: np.savez(
+        fh, **constants, step=np.array(steps), t=np.array([state.t for state in states]),
+        **stacked))
+
+
+def load_snapshot(path) -> list[tuple[State, int]]:
+    """The (state, step) pairs of a snapshot file, in step order, bit-exact.
+    A file in the one-state layout of older rhflow versions is refused."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            data = {key: npz[key] for key in npz.files}
+        per_state = _ARRAY_KEYS[str(data["kind"])] + ("t",)
+        steps = data["step"]
+    except Exception as exc:
+        raise CheckpointError(f"cannot read snapshot {path}: {exc}") from exc
+    if steps.ndim != 1:
+        raise CheckpointError(f"snapshot {path} holds a single state in the old "
+                              f"state_NNNNNNNN.npz layout; this rhflow reads only "
+                              f"per-leg states_<first>_<last>.npz files")
+    return [(_state_from_arrays({**data, **{key: data[key][i] for key in per_state}}),
+             int(step)) for i, step in enumerate(steps)]
+
+
+def discard_past(rundir, step: int, t: float):
+    """Drop what a leg wrote past the checkpoint at (step, t) before it
+    failed: series rows later than t, a torn last row, and snapshot files
+    that start after step.  A leg writes its series rows, then its
+    snapshot file, then the checkpoint, so anything past the checkpoint
+    comes from a leg that did not finish."""
+    series = Path(rundir, "series.jsonl")
+    lines = series.read_bytes().splitlines(keepends=True)
+    keep = len(lines)
+    while keep and (not lines[keep - 1].endswith(b"\n")
+                    or json.loads(lines[keep - 1])["t"] > t):
+        keep -= 1
+    if keep < len(lines):
+        _replace_atomically(series, lambda fh: fh.writelines(lines[:keep]))
+    for path in Path(rundir, SNAPSHOT_DIR).glob("states_*_*.npz"):
+        if int(path.stem.split("_")[1]) > step:
+            path.unlink()
 
 
 # The step control a run was started with; a resumed leg must take the
@@ -218,13 +313,14 @@ _STEP_CONTROL = ("c_cfl", "dt", "rate_limit")
 
 def save_checkpoint(path, traj: Trajectory):
     mon, cfg = traj.monitor_state, traj.config
-    np.savez(path, step=traj.steps,
-             mon=np.array([mon.min_s0, mon.sup_r, mon.acc_r, mon.acc_w,
-                           mon.prev_t, mon.prev_ir, mon.prev_iw, mon.eps0]),
-             scenario=cfg.scenario,
-             **{key: np.nan if getattr(cfg, key) is None else getattr(cfg, key)
-                for key in _STEP_CONTROL},
-             **_state_arrays(traj.final_state))
+    _replace_atomically(path, lambda fh: np.savez(
+        fh, step=traj.steps,
+        mon=np.array([mon.min_s0, mon.sup_r, mon.acc_r, mon.acc_w,
+                      mon.prev_t, mon.prev_ir, mon.prev_iw, mon.eps0]),
+        scenario=cfg.scenario,
+        **{key: np.nan if getattr(cfg, key) is None else getattr(cfg, key)
+           for key in _STEP_CONTROL},
+        **_state_arrays(traj.final_state)))
 
 
 def load_checkpoint(path, config: FlowConfig | None = None,
@@ -278,7 +374,8 @@ def write_manifest(path, config: dict, termination: str, summary: dict, files: l
         "summary": summary,
         "files": sorted(files),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _replace_atomically(path, lambda fh: fh.write(text.encode()))
 
 
 def read_manifest(path) -> dict | None:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import rhflow.flow
+from rhflow import runio
 from rhflow.cli import main
 from rhflow.flow import run
 from rhflow.oracles import exact_state
-from rhflow.runio import (ConfigError, load_config, load_snapshot, parse_config,
-                          read_manifest, read_series)
+from rhflow.runio import (CheckpointError, ConfigError, load_config, load_snapshot,
+                          parse_config, read_manifest, read_series)
 from rhflow.verification import run_verification
 
 FLAT_CONFIG = """\
@@ -339,21 +340,172 @@ params:
 """
 
 
-@pytest.mark.parametrize("text", [PERTURBED_TORUS_CONFIG, SPHERE_CONFIG],
+def snapshot_steps(rundir):
+    """{step: (state, file name)} over every snapshot file of a run
+    directory; a step held twice fails."""
+    found = {}
+    for name in read_manifest(rundir / "manifest.json")["files"]:
+        if name.startswith("snapshots/"):
+            for state, step in load_snapshot(rundir / name):
+                assert step not in found
+                found[step] = (state, name)
+    return found
+
+
+@pytest.mark.parametrize("text, split", [(PERTURBED_TORUS_CONFIG, 23), (SPHERE_CONFIG, 83)],
                          ids=["warped_perturbed_torus", "homogeneous_shrinking_sphere"])
-def test_snapshots_reload_bit_exactly(tmp_path, text):
+def test_snapshots_reload_bit_exactly(tmp_path, text, split):
     cfg = write_config(tmp_path, text)
-    out = tmp_path / "out"
-    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(["run", str(cfg), "-o", str(full)]) == 0
+    assert main(["run", str(cfg), "-o", str(part), "--max-steps", str(split)]) == 0
+    assert main(["resume", str(part)]) == 0
+
     config, scn, representation = load_config(cfg)
     traj = run(config, exact_state(scn, 0.0, config.m, representation))
-    by_step = {rec.step: rec.state for rec in traj.records}
-    paths = sorted((out / "snapshots").glob("state_*.npz"))
-    assert len(paths) >= 3
-    for path in paths:
-        state, step = load_snapshot(path)
-        want = by_step[step]
-        assert path.name == f"state_{step:08d}.npz"
-        assert type(state) is type(want) and state.t == want.t
-        for got, expected in zip(state.arrays(), want.arrays()):
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    want = {rec.step: rec.state for rec in traj.records
+            if rec.step % config.snapshot_every == 0}
+    assert len(want) >= 5
+    legs = sorted((part / "snapshots").iterdir())
+    assert len(legs) == 2 and len(list((full / "snapshots").iterdir())) == 1
+    for rundir in (full, part):
+        found = snapshot_steps(rundir)
+        assert sorted(found) == sorted(want)  # every snapshot step exactly once
+        for step, (state, name) in found.items():
+            expected = want[step]
+            assert type(state) is type(expected) and state.t == expected.t
+            for got, array in zip(state.arrays(), expected.arrays()):
+                assert got.dtype == array.dtype and got.tobytes() == array.tobytes()
+    assert {name for _, name in snapshot_steps(part).values()} == {
+        f"snapshots/{path.name}" for path in legs}
+    first, second = (path.name for path in legs)
+    assert first == f"states_00000000_{max(s for s in want if s <= split):08d}.npz"
+    assert second.startswith(f"states_{min(s for s in want if s > split):08d}_")
+
+
+def test_old_layout_snapshot_is_refused(tmp_path):
+    # one state per file with a scalar step: the layout before per-leg files
+    config, scn, representation = load_config(write_config(tmp_path, PERTURBED_TORUS_CONFIG))
+    path = tmp_path / "state_00000000.npz"
+    np.savez(path, step=0, **runio._state_arrays(exact_state(scn, 0.0, config.m,
+                                                             representation)))
+    with pytest.raises(CheckpointError, match="state_00000000.npz holds a single state "
+                                              "in the old"):
+        load_snapshot(path)
+    path.write_bytes(b"not a snapshot")
+    with pytest.raises(CheckpointError, match="cannot read snapshot"):
+        load_snapshot(path)
+
+
+def directory_bytes(rundir):
+    return {str(p.relative_to(rundir)): p.read_bytes()
+            for p in sorted(rundir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["run", "resume"])
+@pytest.mark.parametrize("value", ["0", "-3", "ten"])
+def test_max_steps_below_one_exits_2(tmp_path, capsys, command, value):
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    out = tmp_path / "out"
+    if command == "resume":
+        assert main(["run", str(cfg), "-o", str(out), "--max-steps", "10"]) == 0
+    before = directory_bytes(tmp_path)
+    argv = ["run", str(cfg), "-o", str(out)] if command == "run" else ["resume", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-steps", value])
+    assert exc.value.code == 2
+    assert "--max-steps" in capsys.readouterr().err
+    assert directory_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("value", ["5", "10"])
+def test_resume_max_steps_at_or_below_checkpoint_exits_2(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "10"]) == 0
+    before = directory_bytes(out)
+    capsys.readouterr()
+    assert main(["resume", str(out), "--max-steps", value]) == 2
+    assert (f"--max-steps {value} must exceed the 10 steps the checkpoint has "
+            f"already taken") in capsys.readouterr().err
+    assert directory_bytes(out) == before
+    assert main(["resume", str(out), "--max-steps", "11"]) == 0
+    assert runio.load_checkpoint(out / "checkpoint.npz")[1] == 11
+
+
+def test_run_refuses_a_directory_holding_a_run(tmp_path, capsys):
+    cfg = write_config(tmp_path, FLAT_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    before = directory_bytes(out)
+    shorter = write_config(tmp_path, FLAT_CONFIG.replace("t_end: 0.1", "t_end: 0.05"),
+                           name="shorter.yaml")
+    capsys.readouterr()
+    assert main(["run", str(shorter), "-o", str(out)]) == 2
+    assert "already holds a run" in capsys.readouterr().err
+    assert directory_bytes(out) == before
+
+
+@pytest.mark.parametrize("entry", ["config.yaml", "series.jsonl", "checkpoint.npz",
+                                   "manifest.json", "snapshots/"])
+def test_run_refuses_any_run_entry_but_accepts_an_empty_directory(tmp_path, capsys, entry):
+    cfg = write_config(tmp_path, FLAT_CONFIG)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(cfg), "-o", str(out)]) == 0  # empty: accepted
+    held = tmp_path / "held"
+    held.mkdir()
+    if entry.endswith("/"):
+        (held / entry).mkdir()
+    else:
+        (held / entry).write_text("")
+    assert main(["run", str(cfg), "-o", str(held)]) == 2
+    assert f"already holds a run ({entry.rstrip('/')})" in capsys.readouterr().err
+    assert [p.name for p in held.iterdir()] == [entry.rstrip("/")]
+
+
+@pytest.mark.parametrize("failing", ["snapshot", "checkpoint"])
+def test_failed_write_keeps_the_previous_checkpoint(tmp_path, capsys, monkeypatch, failing):
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    full, out = tmp_path / "full", tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(full)]) == 0
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "150"]) == 0
+    checkpoint = (out / "checkpoint.npz").read_bytes()
+    before = set(directory_bytes(out))
+
+    savez = np.savez
+
+    def torn_savez(file, **arrays):  # the checkpoint is the write with "mon"
+        if ("mon" in arrays) == (failing == "checkpoint"):
+            file.write(b"PK\x03\x04 torn")
+            raise OSError("No space left on device")
+        savez(file, **arrays)
+
+    monkeypatch.setattr(np, "savez", torn_savez)
+    capsys.readouterr()
+    assert main(["resume", str(out), "--max-steps", "250"]) == 2
+    assert "I/O error: No space left on device" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    # no temp file is left; the previous checkpoint is intact and resumes
+    left = set(directory_bytes(out))
+    assert left == before | ({"snapshots/states_00000200_00000200.npz"}
+                             if failing == "checkpoint" else set())
+    assert (out / "checkpoint.npz").read_bytes() == checkpoint
+    assert runio.load_checkpoint(out / "checkpoint.npz")[1] == 150
+    assert main(["resume", str(out)]) == 0
+    assert (out / "series.jsonl").read_bytes() == (full / "series.jsonl").read_bytes()
+    manifest = read_manifest(out / "manifest.json")
+    assert sorted(manifest["files"]) == sorted(directory_bytes(out))
+    assert sorted(snapshot_steps(out)) == sorted(snapshot_steps(full)) == [0, 100, 200, 300]
+
+
+def test_resume_drops_a_torn_series_row(tmp_path):
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    full, out = tmp_path / "full", tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(full)]) == 0
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "137"]) == 0
+    with open(out / "series.jsonl", "ab") as fh:
+        fh.write(b'{"t":0.14,"min_s"')  # a leg killed while appending
+    assert main(["resume", str(out)]) == 0
+    assert (out / "series.jsonl").read_bytes() == (full / "series.jsonl").read_bytes()

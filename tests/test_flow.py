@@ -189,6 +189,18 @@ def test_scaling_equivariance_of_the_flow():
         assert np.max(np.abs(got - want)) <= 1e-8 * (1.0 + np.max(np.abs(want)))
 
 
+def test_stop_after_steps_must_exceed_steps_done():
+    scn = Scenario("shrinking_cylinder", 4, 0.0)
+    cfg = FlowConfig(scenario=scn.id, n=4, alpha=0.0, m=16, dt=1e-3, t_end=0.3,
+                     blowup_threshold=1e6, output_every=10)
+    state = exact_state(scn, 0.0, 16)
+    for stop, done in ((0, 0), (-3, 0), (5, 10), (10, 10)):
+        with pytest.raises(ValueError, match=f"stop_after_steps {stop} must exceed "
+                                             f"the {done} steps"):
+            run(cfg, state, stop_after_steps=stop, steps_done=done)
+    assert run(cfg, state, stop_after_steps=11, steps_done=10).steps == 11
+
+
 def test_blowup_threshold_must_exceed_initial():
     m = 16
     state = WarpedState(4, Fiber.ROUND_SPHERE, 0.0, np.ones(m), np.ones(m))
