@@ -1,8 +1,9 @@
 """Command-line entry point: run / verify / converge / resume.
 
 Exit codes: 0 success (including blow-up terminations), 1 failed
-verification checks, 2 configuration, usage or I/O errors, 3 a run
-that ended with non-finite values.
+verification checks or a convergence study below its expected order,
+2 configuration, usage, run-file or I/O errors, 3 a run that ended with
+non-finite values.
 """
 from __future__ import annotations
 
@@ -58,11 +59,7 @@ def _finalize(outdir: Path, config: FlowConfig, representation: str,
 
 
 def cmd_run(args) -> int:
-    try:
-        config, scn, representation = runio.load_config(args.config)
-    except runio.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    config, scn, representation = runio.load_config(args.config)
     outdir = Path(args.output)
     held = [name for name in _RUN_ENTRIES if (outdir / name).exists()]
     if held:
@@ -87,17 +84,9 @@ def cmd_resume(args) -> int:
     if manifest is not None and manifest.get("termination"):
         print(f"run already complete (termination: {manifest['termination']}); nothing to do")
         return 0
-    try:
-        config, scn, representation = runio.load_config(outdir / "config.yaml")
-    except runio.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        state, steps, monitor_state = runio.load_checkpoint(outdir / "checkpoint.npz", config,
-                                                            representation)
-    except runio.CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 2
+    config, scn, representation = runio.load_config(outdir / "config.yaml")
+    state, steps, monitor_state = runio.load_checkpoint(outdir / "checkpoint.npz", config,
+                                                        representation)
     if args.max_steps is not None and args.max_steps <= steps:
         print(f"usage error: --max-steps {args.max_steps} must exceed the "
               f"{steps} steps the checkpoint has already taken", file=sys.stderr)
@@ -137,7 +126,9 @@ def cmd_converge(args) -> int:
     for res in results:
         order = "exact" if res.exact else f"{res.order:.3f}"
         print(f"{args.scenario} {res.name}: errors={['%.3e' % e for e in res.errors]} "
-              f"order={order}")
+              f"order={order} expected={res.expected:g} "
+              f"(>= {convergence.PASS_SHARE * res.expected:.2f}) "
+              f"{'PASS' if res.passed else 'FAIL'}")
     if args.output:
         outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -145,7 +136,7 @@ def cmd_converge(args) -> int:
                    "studies": [asdict(res) for res in results]}
         (outdir / f"converge_{args.scenario}.json").write_text(
             json.dumps(payload, indent=2) + "\n")
-    return 0
+    return 0 if all(res.passed for res in results) else 1
 
 
 def _step_count(text: str) -> int:
@@ -185,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for the machine-readable report")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_con = sub.add_parser("converge", help="grid/step refinement study")
+    p_con = sub.add_parser("converge", help="refinement studies gated on expected orders")
     p_con.add_argument("scenario", choices=SCENARIO_IDS, help="scenario id")
     p_con.add_argument("-o", "--output", default=None)
     p_con.set_defaults(func=cmd_converge)
@@ -197,9 +188,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except runio.ConfigError as exc:
+        message = f"config error: {exc}"
+    except runio.CheckpointError as exc:
+        message = f"checkpoint error: {exc}"
+    except runio.RunFileError as exc:
+        message = f"run file error: {exc}"
     except OSError as exc:  # a file that cannot be read or written
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 2
+        message = f"I/O error: {exc}"
+    print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

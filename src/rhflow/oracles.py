@@ -68,7 +68,6 @@ class ScenarioSpec:
     n_max: float = math.inf
     closed_form: bool = True         # False: the builders give t = 0 only
     singular_time: Callable[[Scenario], float] | None = None
-    study_t: float = 0.2             # horizon of the temporal convergence study
 
     @property
     def representations(self) -> tuple[str, ...]:
@@ -130,7 +129,7 @@ def _perturbed_torus_warped(scn, t, x):
 SCENARIOS: dict[str, ScenarioSpec] = {
     "flat_stationary": ScenarioSpec(
         Fiber.FLAT_TORUS, {"warped": _flat_warped, "homogeneous": _flat_factors},
-        params=frozenset(), defaults=dict(n=4, alpha=1.0), study_t=0.5),
+        params=frozenset(), defaults=dict(n=4, alpha=1.0)),
     "torus_list": ScenarioSpec(
         Fiber.FLAT_TORUS, {"warped": _torus_warped, "homogeneous": _torus_factors},
         params=frozenset({"a0", "winding"}), defaults=dict(n=2, alpha=1.0), n_max=2),

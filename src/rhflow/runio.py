@@ -43,6 +43,10 @@ class CheckpointError(RuntimeError):
     """Unreadable or inconsistent checkpoint or snapshot file."""
 
 
+class RunFileError(RuntimeError):
+    """Unreadable series or manifest file of a run; the message names it."""
+
+
 # ---------------------------------------------------------------------------
 # config
 
@@ -51,7 +55,8 @@ def _typed(cls, values: dict) -> dict:
     """values with each entry converted to the int (whole numbers only) or
     float that the dataclass cls annotates for it (YAML reads 1e-3 as a
     string); None stays None where the annotation allows it.  A boolean,
-    or anything else float() cannot read, is refused naming the field."""
+    anything else float() cannot read, and nan or inf are refused naming
+    the field."""
     kinds = {fld.name: fld.type for fld in fields(cls)}
     out = {}
     for key, value in values.items():
@@ -63,6 +68,8 @@ def _typed(cls, values: dict) -> dict:
                 number = None
             if number is None:
                 raise ConfigError(f"field {key!r} must be a number, got {value!r}")
+            if not np.isfinite(number):
+                raise ConfigError(f"field {key!r} must be a finite number, got {value!r}")
             if kind == "int" and not number.is_integer():
                 raise ConfigError(f"field {key!r} must be a whole number, got {value!r}")
             value = _NUMBER[kind](number)
@@ -296,9 +303,12 @@ def discard_past(rundir, step: int, t: float):
     series = Path(rundir, "series.jsonl")
     lines = series.read_bytes().splitlines(keepends=True)
     keep = len(lines)
-    while keep and (not lines[keep - 1].endswith(b"\n")
-                    or json.loads(lines[keep - 1])["t"] > t):
-        keep -= 1
+    try:
+        while keep and (not lines[keep - 1].endswith(b"\n")
+                        or json.loads(lines[keep - 1])["t"] > t):
+            keep -= 1
+    except (ValueError, TypeError, KeyError) as exc:
+        raise RunFileError(f"{series} row {keep} is not a series record: {exc}") from exc
     if keep < len(lines):
         _replace_atomically(series, lambda fh: fh.writelines(lines[:keep]))
     for path in Path(rundir, SNAPSHOT_DIR).glob("states_*_*.npz"):
@@ -382,7 +392,13 @@ def read_manifest(path) -> dict | None:
     p = Path(path)
     if not p.exists():
         return None
-    return json.loads(p.read_text())
+    try:
+        manifest = json.loads(p.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise RunFileError(f"{p} is not JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise RunFileError(f"{p} holds a JSON {type(manifest).__name__}, not an object")
+    return manifest
 
 
 def trajectory_summary(traj: Trajectory) -> dict:

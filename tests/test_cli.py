@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,15 @@ def test_parse_config_validation():
     with pytest.raises(ConfigError, match=r"snapshot_every \(15\) must be a multiple "
                                           r"of output_every \(10\)"):
         parse_config(dict(raw, output_every=10, snapshot_every=15))
+    # nan and inf would run: no steps for t_end, no rate limit, no blow-up test
+    for key, value in (("t_end", math.nan), ("t_end", math.inf), ("rate_limit", math.nan),
+                       ("blowup_threshold", math.nan), ("eps0", math.nan),
+                       ("dt", math.nan), ("alpha", math.nan), ("m", -math.inf)):
+        with pytest.raises(ConfigError) as err:
+            parse_config(dict(raw, **{key: value}))
+        assert str(err.value) == f"field {key!r} must be a finite number, got {value!r}"
+    with pytest.raises(ConfigError, match="'psi0' must be a finite number, got inf"):
+        parse_config(dict(raw, params={"psi0": math.inf}))
 
 
 @pytest.mark.parametrize("text", [
@@ -139,8 +149,9 @@ def test_parse_config_validation():
     CYLINDER_CONFIG.replace("blowup_threshold: 1.0e6", "blowup_threshold: 1.0"),
     FLAT_CONFIG.replace("snapshot_every: 20", "snapshot_every: 15"),
     FLAT_CONFIG + "c_cfl: 3.0\n",
+    FLAT_CONFIG.replace("t_end: 0.1", "t_end: .nan"),
 ], ids=["torus_list_n3", "unread_winding", "threshold_below_initial_rm",
-        "snapshots_off_the_record_cadence", "c_cfl_above_rk4_limit"])
+        "snapshots_off_the_record_cadence", "c_cfl_above_rk4_limit", "t_end_nan"])
 def test_bad_scenario_input_exits_2_without_output(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
@@ -192,6 +203,26 @@ def test_resume_corrupt_checkpoint(tmp_path, capsys):
     (out / "checkpoint.npz").write_bytes(b"not a checkpoint")
     assert main(["resume", str(out)]) == 2
     assert "checkpoint" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("manifest.json", "{not json", "is not JSON"),
+    ("manifest.json", "[1, 2]", "holds a JSON list, not an object"),
+    ("series.jsonl", None, "row 8 is not a series record"),
+], ids=["manifest_not_json", "manifest_list", "series_row_not_json"])
+def test_resume_corrupt_run_file(tmp_path, capsys, name, text, message):
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "65"]) == 0
+    path = out / name
+    if text is None:  # a complete row past the checkpoint, but not JSON
+        text = path.read_text() + '{"t":0.07,"min_s"\n'
+    path.write_text(text)
+    before = directory_bytes(out)
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert f"run file error: {path} {message}" in capsys.readouterr().err
+    assert directory_bytes(out) == before
 
 
 def test_resume_refuses_checkpoint_without_step_control(tmp_path, capsys):
@@ -297,6 +328,17 @@ def test_converge_reports_residual_order(tmp_path):
     by_name = {s["name"]: s for s in payload["studies"]}
     assert by_name["temporal"]["exact"]  # RK4 error at rounding level here
     assert by_name["s_residual"]["order"] >= 1.9
+    assert (by_name["temporal"]["expected"], by_name["s_residual"]["expected"]) == (4.0, 2.0)
+    assert by_name["temporal"]["passed"] and by_name["s_residual"]["passed"]
+
+
+def test_converge_fails_on_mutated_coupling(monkeypatch, capsys):
+    # with the map coupling's sign flipped the closed form no longer solves
+    # the flow: both fitted orders fall to about 0
+    monkeypatch.setattr(rhflow.flow, "_COUPLING_SIGN", -1.0)
+    assert main(["converge", "torus_list"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 2 and "PASS" not in out
 
 
 SPHERE_CONFIG = """\
