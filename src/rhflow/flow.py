@@ -46,6 +46,7 @@ validated, through state.evolved.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,16 +96,15 @@ class FlowConfig:
 
     def __post_init__(self):
         self.fiber = Fiber(self.fiber)
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        # nan compares false, so a `<= 0` test would let it through
+        for name in ("t_end", "dt", "blowup_threshold", "rate_limit"):
+            value = getattr(self, name)
+            if value is not None and not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (0.0 <= self.eps0 < math.inf):
+            raise ValueError(f"eps0 must be finite and >= 0, got {self.eps0}")
         if not (0.0 < self.c_cfl <= _RK4_REAL_LIMIT):
             raise ValueError(f"c_cfl must lie in (0, {_RK4_REAL_LIMIT}], got {self.c_cfl}")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.blowup_threshold <= 0.0:
-            raise ValueError("blowup_threshold must be positive")
-        if self.rate_limit <= 0.0:
-            raise ValueError("rate_limit must be positive")
         if self.output_every < 1:
             raise ValueError("output_every must be >= 1")
         if self.snapshot_every < 0:

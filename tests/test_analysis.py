@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from rhflow import analysis
 from rhflow.analysis import (ball_volume_expansion_fit, check_gradient_bound,
@@ -16,7 +17,7 @@ from rhflow.convergence import s_residual_study
 from rhflow.flow import FlowConfig, run
 from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState,
                              ball_volume_constant, compute_curvature, curvature_fields,
-                             scale_state)
+                             scale_state, sphere_area)
 from rhflow.oracles import Scenario, exact_state
 from rhflow.verification import run_verification
 
@@ -312,6 +313,22 @@ def test_ball_volume_unit_s3():
     c = ball_volume_expansion_fit(s3, radii)
     # R = 6, so R/(6(n+2)) = 0.2
     assert abs(c - 0.2) <= 0.02 * 0.2
+
+
+def test_ball_volume_round_sphere_matches_adaptive_quadrature():
+    # independent oracle: adaptive quadrature of the area of the geodesic
+    # sphere, (rho sin(s/rho))^(n-1) |S^(n-1)|, out to nearly the antipode
+    worst = 0.0
+    for n in range(2, 10):
+        for coeff in (1.0, 4.0):
+            rho = math.sqrt(coeff)
+            sphere = HomogeneousState(n, 0.0, (Factor(coeff, Fiber.ROUND_SPHERE, n),))
+            for r in rho * np.geomspace(1e-3, 0.99 * math.pi, 12):
+                val, _ = quad(lambda s: (rho * math.sin(s / rho)) ** (n - 1), 0.0, r,
+                              epsabs=0.0, epsrel=2e-14, limit=200)
+                want = sphere_area(n - 1) * val
+                worst = max(worst, abs(geodesic_ball_volume(sphere, r) / want - 1.0))
+    assert worst <= 1e-13
 
 
 def test_ball_volume_scaling():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,18 @@ def test_config_validation():
         FlowConfig(dt=0.0)
     with pytest.raises(ValueError):
         FlowConfig(output_every=0)
+    assert FlowConfig(eps0=0.0).eps0 == 0.0
+    with pytest.raises(ValueError, match="eps0 must be finite and >= 0"):
+        FlowConfig(eps0=-1e-8)
+
+
+# nan passes a `<= 0` test, so each field is checked with nan and inf (config
+# files refuse both before FlowConfig sees them)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["t_end", "dt", "rate_limit", "blowup_threshold", "eps0"])
+def test_config_refuses_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        FlowConfig(**{name: value})
 
 
 def test_cfl_cap_is_rk4_real_axis_stability_limit():
