@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, convergence, runio, verification
-from .flow import FlowConfig, Trajectory, run
+from .flow import Trajectory, run
 from .oracles import SCENARIO_IDS, default_scenario, exact_state
 
 
@@ -24,38 +24,31 @@ _RUN_ENTRIES = ("config.yaml", "series.jsonl", "checkpoint.npz", "manifest.json"
                 runio.SNAPSHOT_DIR)
 
 
-def _write_outputs(outdir: Path, config: FlowConfig, traj: Trajectory, *,
-                   append: bool) -> list[str]:
-    """Write series, the leg's snapshot file and the checkpoint, in that
-    order (the checkpoint commits the leg); returns relative paths."""
+def _commit_leg(outdir: Path, representation: str, traj: Trajectory, rows: int, *,
+                append: bool) -> int:
+    """Write the leg's series rows, its snapshot file and the checkpoint,
+    in that order (the checkpoint commits the leg and rows, the series
+    row count after it), then the manifest if the run has ended.  Returns
+    the exit code."""
     series = outdir / "series.jsonl"
     if append:
         runio.append_series(series, traj.records)
     else:
         runio.write_series(series, traj.records)
-    leg = runio.snapshot_leg(traj.records, config.snapshot_every)
+    leg = runio.snapshot_leg(traj.records, traj.config.snapshot_every)
     if leg is not None:
         name, states, steps = leg
         runio.save_snapshot(outdir / name, states, steps)
-    runio.save_checkpoint(outdir / "checkpoint.npz", traj)
-    return ["config.yaml", "series.jsonl", "checkpoint.npz"] + runio.snapshot_files(outdir)
-
-
-def _finalize(outdir: Path, config: FlowConfig, representation: str,
-              traj: Trajectory, files: list[str]) -> int:
-    summary = runio.trajectory_summary(traj)
-    # count what is actually on disk (a resumed run appends to earlier records)
-    summary["records"] = len(runio.read_series(outdir / "series.jsonl"))
+    runio.save_checkpoint(outdir / "checkpoint.npz", traj, representation, rows)
+    summary = runio.trajectory_summary(traj, rows)
     if traj.termination is not None:
-        files = files + ["manifest.json"]
+        files = ["config.yaml", "series.jsonl", "checkpoint.npz", "manifest.json"]
         runio.write_manifest(outdir / "manifest.json",
-                             runio.config_to_dict(config, representation),
-                             traj.termination, summary, files)
+                             runio.config_to_dict(traj.config, representation),
+                             traj.termination, summary, files + runio.snapshot_files(outdir))
     print(f"termination: {traj.termination}  t={summary['final_t']:.8g}  "
           f"steps={summary['steps']}  records={summary['records']}")
-    if traj.termination == "nonfinite":
-        return 3
-    return 0
+    return 3 if traj.termination == "nonfinite" else 0
 
 
 def cmd_run(args) -> int:
@@ -74,8 +67,7 @@ def cmd_run(args) -> int:
         return 2
     outdir.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(args.config, outdir / "config.yaml")
-    files = _write_outputs(outdir, config, traj, append=False)
-    return _finalize(outdir, config, representation, traj, files)
+    return _commit_leg(outdir, representation, traj, len(traj.records), append=False)
 
 
 def cmd_resume(args) -> int:
@@ -85,21 +77,25 @@ def cmd_resume(args) -> int:
         print(f"run already complete (termination: {manifest['termination']}); nothing to do")
         return 0
     config, scn, representation = runio.load_config(outdir / "config.yaml")
-    state, steps, monitor_state = runio.load_checkpoint(outdir / "checkpoint.npz", config,
-                                                        representation)
+    state, steps, monitor_state, rows = runio.load_checkpoint(
+        outdir / "checkpoint.npz", config, representation)
     if args.max_steps is not None and args.max_steps <= steps:
         print(f"usage error: --max-steps {args.max_steps} must exceed the "
               f"{steps} steps the checkpoint has already taken", file=sys.stderr)
         return 2
+    series = outdir / "series.jsonl"
+    found = len(runio.read_series(series))
+    if found < rows:
+        raise runio.RunFileError(f"{series} holds {found} complete rows, fewer than "
+                                 f"the {rows} that the checkpoint committed")
     try:
         traj = run(config, state, steps_done=steps, monitor_state=monitor_state,
                    stop_after_steps=args.max_steps)
     except ValueError as exc:  # a blowup_threshold the checkpoint already exceeds
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    runio.discard_past(outdir, steps, state.t)
-    files = _write_outputs(outdir, config, traj, append=True)
-    return _finalize(outdir, config, representation, traj, files)
+    runio.discard_past(outdir, steps, rows)
+    return _commit_leg(outdir, representation, traj, rows + len(traj.records), append=True)
 
 
 def cmd_verify(args) -> int:

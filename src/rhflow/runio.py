@@ -107,8 +107,8 @@ def parse_config(raw: dict) -> tuple[FlowConfig, Scenario, str]:
     settings = _typed(FlowConfig, {key: raw[key] for key in raw
                                    if key not in ("representation", "params")})
     try:
-        scn = Scenario(scenario_id, n=settings["n"], alpha=settings["alpha"],
-                       **_typed(Scenario, params))
+        params = _typed(Scenario, params)
+        scn = Scenario(scenario_id, n=settings["n"], alpha=settings["alpha"], **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario parameters: {exc}") from exc
 
@@ -118,7 +118,7 @@ def parse_config(raw: dict) -> tuple[FlowConfig, Scenario, str]:
                           f"representation; it has {spec.representations}")
 
     try:
-        cfg = FlowConfig(**settings, fiber=spec.fiber, params=dict(params))
+        cfg = FlowConfig(**settings, fiber=spec.fiber, params=params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     return cfg, scn, representation
@@ -169,12 +169,21 @@ def append_series(path, records):
 
 
 def read_series(path) -> list[dict]:
+    """The records of a series file, one per complete line.  A last line
+    without its newline is a torn write, not a record, and is skipped; a
+    complete line that is not a JSON object raises RunFileError naming
+    the file and the 1-based row."""
+    *lines, _torn = Path(path).read_bytes().split(b"\n")
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+    for k, line in enumerate(lines, 1):
+        try:
+            row = json.loads(line)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise RunFileError(f"{path} row {k} is not a series record: {exc}") from exc
+        if not isinstance(row, dict):
+            raise RunFileError(f"{path} row {k} is not a series record: it holds a "
+                               f"JSON {type(row).__name__}")
+        rows.append(row)
     return rows
 
 
@@ -294,82 +303,70 @@ def load_snapshot(path) -> list[tuple[State, int]]:
              int(step)) for i, step in enumerate(steps)]
 
 
-def discard_past(rundir, step: int, t: float):
-    """Drop what a leg wrote past the checkpoint at (step, t) before it
-    failed: series rows later than t, a torn last row, and snapshot files
-    that start after step.  A leg writes its series rows, then its
-    snapshot file, then the checkpoint, so anything past the checkpoint
-    comes from a leg that did not finish."""
+def discard_past(rundir, step: int, rows: int):
+    """Drop what a failed leg wrote past the checkpoint at step, which
+    committed rows series rows: every later byte of the series (a torn
+    row too), and snapshot files that start after step.  A leg writes
+    its series rows, then its snapshot file, then the checkpoint."""
     series = Path(rundir, "series.jsonl")
-    lines = series.read_bytes().splitlines(keepends=True)
-    keep = len(lines)
-    try:
-        while keep and (not lines[keep - 1].endswith(b"\n")
-                        or json.loads(lines[keep - 1])["t"] > t):
-            keep -= 1
-    except (ValueError, TypeError, KeyError) as exc:
-        raise RunFileError(f"{series} row {keep} is not a series record: {exc}") from exc
-    if keep < len(lines):
-        _replace_atomically(series, lambda fh: fh.writelines(lines[:keep]))
+    data = series.read_bytes()
+    kept = b"".join(line + b"\n" for line in data.split(b"\n")[:rows])
+    if kept != data:
+        _replace_atomically(series, lambda fh: fh.write(kept))
     for path in Path(rundir, SNAPSHOT_DIR).glob("states_*_*.npz"):
         if int(path.stem.split("_")[1]) > step:
             path.unlink()
 
 
-# The step control a run was started with; a resumed leg must take the
-# same steps, so the checkpoint keeps it (dt None is stored as NaN).
-_STEP_CONTROL = ("c_cfl", "dt", "rate_limit")
+# The config keys a resumed leg may change: where and how often it stops
+# and records.  Any other change would continue a different run than the
+# checkpoint holds.  flow.run refuses a blowup_threshold the checkpoint's
+# max|Rm| already reaches.
+RESUMABLE = ("t_end", "blowup_threshold", "output_every", "snapshot_every")
 
 
-def save_checkpoint(path, traj: Trajectory):
-    mon, cfg = traj.monitor_state, traj.config
+def save_checkpoint(path, traj: Trajectory, representation: str, rows: int):
+    """Commit a leg: its final state and monitor accumulators, the run's
+    config as one JSON string, and rows, the series rows written so far."""
+    mon = traj.monitor_state
     _replace_atomically(path, lambda fh: np.savez(
-        fh, step=traj.steps,
+        fh, step=traj.steps, rows=rows,
         mon=np.array([mon.min_s0, mon.sup_r, mon.acc_r, mon.acc_w,
                       mon.prev_t, mon.prev_ir, mon.prev_iw, mon.eps0]),
-        scenario=cfg.scenario,
-        **{key: np.nan if getattr(cfg, key) is None else getattr(cfg, key)
-           for key in _STEP_CONTROL},
+        config=json.dumps(config_to_dict(traj.config, representation)),
         **_state_arrays(traj.final_state)))
 
 
 def load_checkpoint(path, config: FlowConfig | None = None,
                     representation: str | None = None):
-    """Returns (state, steps, MonitorState).  Raises CheckpointError on
-    unreadable or inconsistent data, also with the given config and
-    representation."""
+    """Returns (state, steps, MonitorState, rows).  Raises CheckpointError
+    on unreadable data, and, given the run's config and representation,
+    on any difference from the checkpoint's config outside RESUMABLE."""
     try:
         with np.load(path, allow_pickle=False) as data:
+            if "config" not in data:
+                raise CheckpointError(f"checkpoint {path} has no run config; it was "
+                                      f"written by an older rhflow and cannot be resumed")
             state = _state_from_arrays(data)
-            steps = int(data["step"])
+            steps, rows = int(data["step"]), int(data["rows"])
             vals = np.asarray(data["mon"], dtype=float)
-            stored = dict(scenario=str(data["scenario"]), representation=str(data["kind"]))
-            missing = [key for key in _STEP_CONTROL if key not in data]
-            if missing:
-                raise CheckpointError(f"checkpoint {path} lacks the step-control keys "
-                                      f"{missing}; it was written by an older rhflow "
-                                      f"and cannot be resumed")
-            stored.update({key: None if np.isnan(data[key]) else float(data[key])
-                           for key in _STEP_CONTROL})
+            stored = json.loads(str(data["config"]))
     except CheckpointError:
         raise
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if vals.shape != (8,) or not np.all(np.isfinite(vals)):
         raise CheckpointError(f"checkpoint {path} has malformed monitor state")
-    for key in ("scenario", "representation", "n", "alpha", "fiber", "m"):
-        found = stored.get(key, getattr(state, key, None))  # fiber, m: warped states only
-        want = representation if key == "representation" else getattr(config, key, None)
-        if found is not None and want is not None and found != want:
-            raise CheckpointError(f"checkpoint {key} {found} does not match config {key} {want}")
     if config is not None:
-        for key in _STEP_CONTROL:
-            if stored[key] != getattr(config, key):  # dt None (unset) included
-                raise CheckpointError(f"checkpoint {key} {stored[key]} does not match "
-                                      f"config {key} {getattr(config, key)}")
+        # the stored side went through a JSON round trip; so does this one
+        wanted = json.loads(json.dumps(config_to_dict(config, representation)))
+        for key in dict.fromkeys([*wanted, *stored]):
+            if key not in RESUMABLE and stored.get(key) != wanted.get(key):
+                raise CheckpointError(f"checkpoint {key} {stored.get(key)} does not match "
+                                      f"config {key} {wanted.get(key)}")
     mon = MonitorState(min_s0=vals[0], sup_r=vals[1], acc_r=vals[2], acc_w=vals[3],
                        prev_t=vals[4], prev_ir=vals[5], prev_iw=vals[6], eps0=vals[7])
-    return state, steps, mon
+    return state, steps, mon, rows
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +398,14 @@ def read_manifest(path) -> dict | None:
     return manifest
 
 
-def trajectory_summary(traj: Trajectory) -> dict:
+def trajectory_summary(traj: Trajectory, records: int) -> dict:
+    """The manifest summary of a run whose series holds records rows; the
+    final values come from the last leg, traj."""
     last = traj.records[-1].monitor if traj.records else None
     return {
         "final_t": traj.final_t,
         "steps": traj.steps,
-        "records": len(traj.records),
+        "records": records,
         "min_s_final": None if last is None else last.min_s,
         "max_rm_final": None if last is None else last.max_rm,
         "acc_r": None if last is None else last.acc_r,

@@ -143,6 +143,20 @@ def test_parse_config_validation():
         parse_config(dict(raw, params={"psi0": math.inf}))
 
 
+def test_params_are_typed_like_run_fields(tmp_path):
+    # PyYAML reads 1e0 and 1e-1 as strings; params hold the numbers the
+    # scenario reads, so an equal value written another way still resumes
+    raw = {"scenario": "perturbed_cylinder", "n": 4, "alpha": 1.0, "t_end": 1.0,
+           "params": {"psi0": "1e-1", "amplitude": 0}}
+    assert parse_config(raw)[0].params == {"psi0": 0.1, "amplitude": 0.0}
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "10"]) == 0
+    config = out / "config.yaml"
+    config.write_text(config.read_text().replace("psi0: 1.0", "psi0: 1e0"))
+    assert main(["resume", str(out)]) == 0
+
+
 @pytest.mark.parametrize("text", [
     "scenario: torus_list\nn: 3\nalpha: 1.0\nt_end: 0.1\n",
     "scenario: perturbed_cylinder\nn: 4\nalpha: 1.0\nt_end: 0.1\nparams:\n  winding: 3\n",
@@ -177,7 +191,11 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert not (part / "manifest.json").exists()
     assert main(["resume", str(part)]) == 0
     assert (part / "series.jsonl").read_bytes() == (full / "series.jsonl").read_bytes()
-    assert read_manifest(part / "manifest.json")["termination"] == "blowup_threshold"
+    manifest = read_manifest(part / "manifest.json")
+    assert manifest["termination"] == "blowup_threshold"
+    lines = (part / "series.jsonl").read_bytes().count(b"\n")
+    assert manifest["summary"]["records"] == lines == 34
+    assert read_manifest(full / "manifest.json")["summary"]["records"] == lines
 
 
 def test_resume_completed_run_is_noop(tmp_path, capsys):
@@ -225,20 +243,23 @@ def test_resume_corrupt_run_file(tmp_path, capsys, name, text, message):
     assert directory_bytes(out) == before
 
 
-def test_resume_refuses_checkpoint_without_step_control(tmp_path, capsys):
-    # a checkpoint from before c_cfl, dt and rate_limit were stored cannot
-    # show that the resumed leg takes the same steps
+def test_resume_refuses_checkpoint_of_an_older_layout(tmp_path, capsys):
+    # the layout before the checkpoint carried the run's config: scenario
+    # and step control as separate keys (dt NaN when unset), no config, no
+    # row count; it cannot show which run it continues
     cfg = write_config(tmp_path, CYLINDER_CONFIG)
     out = tmp_path / "out"
     main(["run", str(cfg), "-o", str(out), "--max-steps", "10"])
     with np.load(out / "checkpoint.npz") as data:
-        arrays = {key: data[key] for key in data if key not in ("c_cfl", "dt", "rate_limit")}
-    np.savez(out / "checkpoint.npz", **arrays)
+        arrays = {key: data[key] for key in data if key not in ("config", "rows")}
+    np.savez(out / "checkpoint.npz", **arrays, scenario="shrinking_cylinder",
+             c_cfl=1.0, dt=1.0e-3, rate_limit=0.05)
+    before = directory_bytes(out)
     capsys.readouterr()
     assert main(["resume", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "checkpoint error" in err and "lacks the step-control keys" in err
-    assert not (out / "manifest.json").exists()
+    assert (f"checkpoint error: checkpoint {out / 'checkpoint.npz'} has no run config; it "
+            f"was written by an older rhflow and cannot be resumed") in capsys.readouterr().err
+    assert directory_bytes(out) == before
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -269,6 +290,121 @@ def test_resume_refuses_config_contradicting_checkpoint(tmp_path, capsys, edit, 
     assert message in capsys.readouterr().err
     assert (out / "series.jsonl").read_bytes() == series
     assert not (out / "manifest.json").exists()
+
+
+# The benchmark's checkpoint_io config (perfbench/workloads.py).
+TORUS_CONFIG = """\
+scenario: perturbed_torus
+n: 2
+alpha: 1.0
+t_end: 0.5
+m: 64
+dt: 0.0004
+output_every: 1
+snapshot_every: 1
+params:
+  winding: 1
+  amplitude: 0.1
+"""
+
+
+# One config edit per config key (key, base config, edit, checkpoint value,
+# config value); the values are None for the keys in runio.RESUMABLE.
+RESUME_EDITS = [
+    ("scenario", CYLINDER_CONFIG,
+     ("scenario: shrinking_cylinder", "scenario: perturbed_cylinder"),
+     "shrinking_cylinder", "perturbed_cylinder"),
+    ("n", CYLINDER_CONFIG, ("n: 4", "n: 5"), 4, 5),
+    ("alpha", CYLINDER_CONFIG, ("alpha: 0.0", "alpha: 0.5"), 0.0, 0.5),
+    ("m", CYLINDER_CONFIG, ("m: 16", "m: 32"), 16, 32),
+    ("c_cfl", CYLINDER_CONFIG, ("m: 16", "m: 16\nc_cfl: 0.5"), 1.0, 0.5),
+    ("dt", CYLINDER_CONFIG, ("dt: 1.0e-3", "dt: 5.0e-4"), 0.001, 0.0005),
+    ("rate_limit", CYLINDER_CONFIG, ("m: 16", "m: 16\nrate_limit: 0.1"), 0.05, 0.1),
+    # a shrinking_cylinder at m=32 resumed with this edit ran on the
+    # checkpoint's eps0 while its manifest recorded the new one
+    ("eps0", CYLINDER_CONFIG.replace("m: 16", "m: 32"), ("m: 32", "m: 32\neps0: 0.5"),
+     1e-08, 0.5),
+    ("params", CYLINDER_CONFIG, ("psi0: 1.0", "psi0: 2.0"), {"psi0": 1.0}, {"psi0": 2.0}),
+    # a params entry the resumed run never read, recorded in its manifest
+    ("params", TORUS_CONFIG, ("amplitude: 0.1", "amplitude: 0.3"),
+     {"winding": 1, "amplitude": 0.1}, {"winding": 1, "amplitude": 0.3}),
+    ("representation", CYLINDER_CONFIG, ("m: 16", "m: 16\nrepresentation: homogeneous"),
+     "warped", "homogeneous"),
+    ("t_end", CYLINDER_CONFIG, ("t_end: 0.3", "t_end: 0.2"), None, None),
+    ("blowup_threshold", CYLINDER_CONFIG,
+     ("blowup_threshold: 1.0e6", "blowup_threshold: 1.0e5"), None, None),
+    ("output_every", CYLINDER_CONFIG, ("output_every: 10", "output_every: 5"), None, None),
+    ("snapshot_every", CYLINDER_CONFIG, ("snapshot_every: 100", "snapshot_every: 50"),
+     None, None),
+]
+
+
+def test_resume_edits_cover_every_config_key():
+    assert {key for key, *_ in RESUME_EDITS} == runio._CONFIG_KEYS
+
+
+@pytest.mark.parametrize("key, base, edit, old, new", RESUME_EDITS, ids=[
+    "scenario", "n", "alpha", "m", "c_cfl", "dt", "rate_limit", "eps0", "params",
+    "params_amplitude", "representation", "t_end", "blowup_threshold", "output_every",
+    "snapshot_every"])
+def test_resume_accepts_only_resumable_config_edits(tmp_path, capsys, key, base, edit,
+                                                    old, new):
+    cfg = write_config(tmp_path, base)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "10"]) == 0
+    config = out / "config.yaml"
+    config.write_text(config.read_text().replace(*edit))
+    before = directory_bytes(out)
+    capsys.readouterr()
+    if old is None:
+        assert key in runio.RESUMABLE
+        assert main(["resume", str(out)]) == 0
+        manifest = read_manifest(out / "manifest.json")
+        assert manifest["config"][key] == getattr(load_config(config)[0], key)
+        lines = (out / "series.jsonl").read_bytes().count(b"\n")
+        assert manifest["summary"]["records"] == lines
+        return
+    assert key not in runio.RESUMABLE
+    assert main(["resume", str(out)]) == 2
+    assert (f"checkpoint error: checkpoint {key} {old} does not match config {key} {new}"
+            in capsys.readouterr().err)
+    assert directory_bytes(out) == before
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda lines: lines[:1] + [b'{"t":0.01,"min_s"\n'] + lines[2:],
+     "row 2 is not a series record"),
+    (lambda lines: lines[:1] + [b"[0.01, 0.5]\n"] + lines[2:],
+     "row 2 is not a series record: it holds a JSON list"),
+    (lambda lines: lines[:-1], "holds 3 complete rows, fewer than the 4 that the "
+                               "checkpoint committed"),
+    (lambda lines: lines[:-1] + [lines[-1].rstrip(b"\n")],
+     "holds 3 complete rows, fewer than the 4 that the checkpoint committed"),
+], ids=["row_2_not_json", "row_2_a_list", "row_missing", "last_row_torn"])
+def test_resume_refuses_a_damaged_committed_series(tmp_path, capsys, damage, message):
+    # the rows the checkpoint committed are read before the leg runs: a
+    # damaged one, also one before the last, exits 2 and changes no file
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "35"]) == 0
+    series = out / "series.jsonl"
+    lines = series.read_bytes().splitlines(keepends=True)
+    assert len(lines) == runio.load_checkpoint(out / "checkpoint.npz")[3] == 4
+    series.write_bytes(b"".join(damage(lines)))
+    before = directory_bytes(out)
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert f"run file error: {series} {message}" in capsys.readouterr().err
+    assert directory_bytes(out) == before
+
+
+def test_read_series_skips_a_torn_last_line(tmp_path):
+    path = tmp_path / "series.jsonl"
+    path.write_bytes(b'{"t":0.0}\n{"t":0.1}\n{"t":0.2,"mi')
+    assert read_series(path) == [{"t": 0.0}, {"t": 0.1}]
+    path.write_bytes(b'{"t":0.0}\n\n')
+    with pytest.raises(runio.RunFileError, match="row 2 is not a series record"):
+        read_series(path)
 
 
 def test_verify_subset(tmp_path):
