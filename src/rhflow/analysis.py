@@ -52,14 +52,15 @@ EPS0 = 1e-8
 
 @dataclass
 class MonitorRecord:
-    """Summary statistics of one trajectory snapshot."""
+    """Summary statistics of one trajectory snapshot; rm_argmax is the
+    grid index where |Rm| is largest."""
 
-    t: float
     min_s: float
     max_s: float
     max_grad_phi_sq: float
     max_ric: float
     max_rm: float
+    rm_argmax: int
     max_abs_r: float
     phi_min: float
     phi_max: float
@@ -120,12 +121,12 @@ def make_monitor_record(state: State, fields: CurvatureFields,
     phi_min, phi_max = state.map_range()
     margin = mon.sup_r + mon.eps0 - mon.min_s0 - alpha * max_grad
     return MonitorRecord(
-        t=state.t,
         min_s=float(np.min(fields.s_scalar)),
         max_s=float(np.max(fields.s_scalar)),
         max_grad_phi_sq=max_grad,
         max_ric=max_ric,
         max_rm=fields.max_rm,
+        rm_argmax=int(np.argmax(fields.rm_sq)),
         max_abs_r=float(np.max(np.abs(fields.scalar))),
         phi_min=phi_min,
         phi_max=phi_max,
@@ -229,40 +230,19 @@ def check_phi_max_principle(traj) -> float | None:
     return max(0.0, worst)
 
 
-def check_metric_distortion(traj, t0=None, t1=None) -> float:
+def check_metric_distortion(traj) -> float:
     """Worst excess of |log g_t(V,V) - log g_t0(V,V)| over C_meas*|t-t0|
     for the coordinate directions V, plus the arc-length analogue
     |log L(t)/L(t0)| <= C_meas|t-t0|/2, with
-    C_meas = sup over the window of (2 max|Ric| + 2 alpha max|grad phi|^2).
-
-    t0/t1 select one snapshot pair, as record indices (ints) or times
-    (floats, matched to the nearest record); with neither given the
-    worst excess over all ordered pairs is returned (in linear time when
-    the bound holds).  Zero (up to eps0) means the estimate holds.
+    C_meas = sup over the window of (2 max|Ric| + 2 alpha max|grad phi|^2),
+    over all ordered snapshot pairs (in linear time when the bound
+    holds).  Zero (up to eps0) means the estimate holds.
     """
     recs = _records(traj)
     logs = np.stack([rec.state.metric_logs() for rec in recs])
     rates = np.array([rec.monitor.distortion_rate for rec in recs])
     lens = np.array([rec.monitor.length for rec in recs])
     times = np.array([rec.t for rec in recs])
-
-    def resolve(t) -> int:
-        if isinstance(t, (int, np.integer)):
-            return int(t)
-        return int(np.argmin(np.abs(times - float(t))))
-
-    def pair_excess(a: int, b: int) -> float:
-        c_meas = float(np.max(rates[a:b + 1]))
-        dt = times[b] - times[a]
-        coeff = float(np.max(np.abs(logs[b] - logs[a]))) - c_meas * dt
-        length = abs(math.log(lens[b] / lens[a])) - 0.5 * c_meas * dt
-        return max(coeff, length)
-
-    if t0 is not None or t1 is not None:
-        if t0 is None or t1 is None:
-            raise ValueError("give both snapshots or neither")
-        a, b = sorted((resolve(t0), resolve(t1)))
-        return max(0.0, pair_excess(a, b)) if a != b else 0.0
 
     # O(K m) fast path: if every adjacent pair meets the bound, every pair
     # does, since |log g| telescopes and C_meas over [a, b] dominates it over
@@ -337,13 +317,16 @@ class BlowupPoint:
     q: float
 
 
-def pick_blowup_points(traj, c_pick: float = 2.0) -> list[BlowupPoint]:
+# A pick's max|Rm| is at least the running spacetime max over C_PICK.
+C_PICK = 2.0
+
+
+def pick_blowup_points(traj) -> list[BlowupPoint]:
     """Snapshot times and points where |Rm| attains a near-maximal value:
-    Q_i = max|Rm|(t_i) >= (running spacetime max)/c_pick, restricted to
+    Q_i = max|Rm|(t_i) >= (running spacetime max)/C_PICK, restricted to
     times with curvature above its initial level and filtered so the Q_i
-    are nondecreasing.  Runs with no curvature growth give an empty list."""
-    if c_pick < 1.0:
-        raise ValueError(f"c_pick must be >= 1, got {c_pick}")
+    are nondecreasing.  The point is the record's rm_argmax.  Runs with
+    no curvature growth give an empty list."""
     recs = _records(traj)
     rms = np.array([rec.monitor.max_rm for rec in recs])
     running = np.maximum.accumulate(rms)
@@ -351,11 +334,9 @@ def pick_blowup_points(traj, c_pick: float = 2.0) -> list[BlowupPoint]:
     last_q = -np.inf
     for k in range(1, len(recs)):
         q = rms[k]
-        if q <= rms[0] or c_pick * q < running[k] or q < last_q:
+        if q <= rms[0] or C_PICK * q < running[k] or q < last_q:
             continue
-        idx = int(np.argmax(curvature_fields(recs[k].state).rm_sq))
-        assert c_pick * q >= running[k]
-        picks.append(BlowupPoint(t=recs[k].t, index=idx, q=float(q)))
+        picks.append(BlowupPoint(t=recs[k].t, index=recs[k].monitor.rm_argmax, q=float(q)))
         last_q = q
     return picks
 

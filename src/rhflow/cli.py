@@ -91,7 +91,7 @@ def cmd_resume(args) -> int:
     try:
         traj = run(config, state, steps_done=steps, monitor_state=monitor_state,
                    stop_after_steps=args.max_steps)
-    except ValueError as exc:  # a blowup_threshold the checkpoint already exceeds
+    except ValueError as exc:  # a t_end or blowup_threshold the checkpoint reaches
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     runio.discard_past(outdir, steps, rows)

@@ -117,33 +117,44 @@ class FlowConfig:
 
 @dataclass
 class FlowRecord:
-    t: float
     state: State
     monitor: MonitorRecord
-    step: int = 0
+    step: int
+
+    @property
+    def t(self) -> float:
+        return self.state.t
 
 
 @dataclass
 class Trajectory:
-    """Snapshots at the output cadence plus termination bookkeeping.
+    """The records a leg made plus termination bookkeeping.
 
-    termination is one of TERMINATION_REASONS, or None when integration
-    was interrupted by a step budget (resumable; used for checkpoint
-    tests)."""
+    final is the record of the state the leg ended on; it is the last
+    record when that one holds the final state.  termination is one of
+    TERMINATION_REASONS, or None when integration was interrupted by a
+    step budget (resumable; used for checkpoint tests)."""
 
     records: list[FlowRecord]
     termination: str | None
     config: FlowConfig
-    steps: int
-    final_state: State
+    final: FlowRecord
     monitor_state: MonitorState
 
     def times(self) -> np.ndarray:
         return np.array([rec.t for rec in self.records])
 
     @property
+    def steps(self) -> int:
+        return self.final.step
+
+    @property
+    def final_state(self) -> State:
+        return self.final.state
+
+    @property
     def final_t(self) -> float:
-        return self.final_state.t
+        return self.final.t
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +258,43 @@ def _dt_bound(state: State, config: FlowConfig, k1) -> float:
     return min(bounds)
 
 
+def _advance(state: State, fields, config: FlowConfig):
+    """The next accepted state and its curvature fields, or None when the
+    flow cannot be continued: a non-finite k1, every halving of the step
+    rejected, or a non-finite max|Rm| of the accepted state."""
+    with np.errstate(all="ignore"):
+        k1 = _k1_from_fields(state, fields)
+    if not np.all(np.isfinite(k1)):
+        return None
+    dt = min(_dt_bound(state, config, k1), config.t_end - state.t)
+    for _ in range(_MAX_HALVINGS + 1):
+        if dt <= 1e-15 * max(1.0, abs(state.t)):
+            return None
+        new_state = _try_step(state, dt, k1)
+        if new_state is not None:
+            with np.errstate(all="ignore"):
+                new_fields = curvature_fields(new_state)
+            return (new_state, new_fields) if np.isfinite(new_fields.max_rm) else None
+        dt *= 0.5
+    return None
+
+
 def run(config: FlowConfig, initial: State, *,
         stop_after_steps: int | None = None,
         steps_done: int = 0,
         monitor_state: MonitorState | None = None) -> Trajectory:
     """Integrate until t_end, the blow-up threshold, or failure.
 
-    Snapshots and monitor summaries are recorded every output_every
-    steps and at termination.  Deterministic for a fixed config and
-    initial state.  steps_done/monitor_state allow bit-exact
-    continuation from a checkpoint; stop_after_steps, which must exceed
-    steps_done, interrupts the run once it has taken that many steps in
-    all, without terminating it (the trajectory then has termination None).
+    One recording rule, over all legs of a run: a state is recorded when
+    its step is a multiple of output_every, and the state the run ends
+    on is recorded too unless that cadence already did.  A resumed leg
+    (steps_done > 0) leaves its start state to the leg before it.
+    Deterministic for a fixed config and initial state.
+    steps_done/monitor_state allow bit-exact continuation from a
+    checkpoint; stop_after_steps, which must exceed steps_done,
+    interrupts the run once it has taken that many steps in all, without
+    terminating it (the trajectory then has termination None).  The
+    initial state must lie below blowup_threshold and before t_end.
     """
     if stop_after_steps is not None and stop_after_steps <= steps_done:
         raise ValueError(f"stop_after_steps {stop_after_steps} must exceed the "
@@ -268,68 +304,37 @@ def run(config: FlowConfig, initial: State, *,
     if fields.max_rm >= config.blowup_threshold:
         raise ValueError(f"blowup_threshold {config.blowup_threshold:g} must exceed "
                          f"the initial max|Rm| {fields.max_rm:g}")
+    t_end = config.t_end
+    tol = 1e-12 * max(1.0, abs(t_end))
+    if state.t >= t_end - tol:
+        raise ValueError(f"t_end {t_end:g} must exceed the initial t {state.t:g}")
 
     if monitor_state is None:
         monitor_state = MonitorState.start(state, fields, config.eps0)
+
+    def record() -> FlowRecord:
+        return FlowRecord(state.copy(), make_monitor_record(state, fields, monitor_state),
+                          steps)
+
     records: list[FlowRecord] = []
-    if steps_done == 0:
-        records.append(FlowRecord(state.t, state.copy(),
-                                  make_monitor_record(state, fields, monitor_state), 0))
-
     steps = steps_done
-    termination = None
-    t_end = config.t_end
-    tol = 1e-12 * max(1.0, abs(t_end))
-
-    while state.t < t_end - tol:
-        with np.errstate(all="ignore"):
-            k1 = _k1_from_fields(state, fields)
-        if not np.all(np.isfinite(k1)):
-            termination = "nonfinite"
+    while True:
+        termination = ("blowup_threshold" if fields.max_rm >= config.blowup_threshold
+                       else "reached_t_end" if state.t >= t_end - tol else None)
+        if ((steps == 0 or steps > steps_done)
+                and (termination or steps % config.output_every == 0)):
+            records.append(record())
+        if termination or steps == stop_after_steps:
             break
-        dt = min(_dt_bound(state, config, k1), t_end - state.t)
-        new_state = None
-        for _ in range(_MAX_HALVINGS + 1):
-            if dt <= 1e-15 * max(1.0, abs(state.t)):
-                break
-            new_state = _try_step(state, dt, k1)
-            if new_state is not None:
-                break
-            dt *= 0.5
-        if new_state is None:
+        ahead = _advance(state, fields, config)
+        if ahead is None:
             termination = "nonfinite"
+            if steps % config.output_every:
+                records.append(record())
             break
-
-        with np.errstate(all="ignore"):
-            new_fields = curvature_fields(new_state)
-        if not np.isfinite(new_fields.max_rm):
-            termination = "nonfinite"
-            break
-        state = new_state
+        state, fields = ahead
         steps += 1
-        fields = new_fields
         monitor_state.update(state, fields)
 
-        blowup = fields.max_rm >= config.blowup_threshold
-        finished = state.t >= t_end - tol
-        if steps % config.output_every == 0 or blowup or finished:
-            records.append(FlowRecord(state.t, state.copy(),
-                                      make_monitor_record(state, fields, monitor_state), steps))
-        if blowup:
-            termination = "blowup_threshold"
-            break
-        if finished:
-            termination = "reached_t_end"
-            break
-        if stop_after_steps is not None and steps >= stop_after_steps:
-            break
-
-    if termination is None and state.t >= t_end - tol:
-        termination = "reached_t_end"
-    if termination == "nonfinite" and records and records[-1].t < state.t:
-        # keep the last resolved state on record
-        records.append(FlowRecord(state.t, state.copy(),
-                                  make_monitor_record(state, curvature_fields(state),
-                                                      monitor_state), steps))
-
-    return Trajectory(records, termination, config, steps, state, monitor_state)
+    final = records[-1] if records and records[-1].step == steps else record()
+    return Trajectory(records, termination, config, final, monitor_state)

@@ -311,8 +311,6 @@ class CurvatureFields:
     which is the pair entering the evolution identity (see analysis).
     """
 
-    n: int
-    alpha: float
     k_rad: np.ndarray
     k_fib: np.ndarray
     scalar: np.ndarray
@@ -377,9 +375,8 @@ def compute_curvature(state: WarpedState) -> CurvatureFields:
     flow_tensor_sq = (lam0 - 0.5 * alpha * grad_phi_sq) ** 2 + (n - 1) * lam1**2
     ric_op = np.maximum(np.abs(lam0), np.abs(lam1))
 
-    return CurvatureFields(n, alpha, k_rad, k_fib, scalar, ric_sq, rm_sq, weyl_sq,
-                           grad_phi_sq, lap_phi, s_scalar, s_flow, flow_tensor_sq,
-                           ric_op)
+    return CurvatureFields(k_rad, k_fib, scalar, ric_sq, rm_sq, weyl_sq, grad_phi_sq,
+                           lap_phi, s_scalar, s_flow, flow_tensor_sq, ric_op)
 
 
 def compute_curvature_homogeneous(state: HomogeneousState) -> CurvatureFields:
@@ -426,7 +423,7 @@ def compute_curvature_homogeneous(state: HomogeneousState) -> CurvatureFields:
     arr = lambda v: np.array([float(v)])
     weyl_sq = _weyl_sq(n, rm_sq, ric_sq, scalar**2)
     return CurvatureFields(
-        n, alpha, arr(k_rad), arr(k_fib), arr(scalar), arr(ric_sq), arr(rm_sq),
+        arr(k_rad), arr(k_fib), arr(scalar), arr(ric_sq), arr(rm_sq),
         arr(weyl_sq), arr(grad), arr(0.0), arr(scalar - alpha * grad),
         arr(scalar - 0.5 * alpha * grad), arr(flow_tensor_sq), arr(ric_op))
 

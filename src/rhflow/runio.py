@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -320,19 +320,17 @@ def discard_past(rundir, step: int, rows: int):
 
 # The config keys a resumed leg may change: where and how often it stops
 # and records.  Any other change would continue a different run than the
-# checkpoint holds.  flow.run refuses a blowup_threshold the checkpoint's
-# max|Rm| already reaches.
+# checkpoint holds.  flow.run refuses a t_end the checkpoint's t, and a
+# blowup_threshold its max|Rm|, already reaches.
 RESUMABLE = ("t_end", "blowup_threshold", "output_every", "snapshot_every")
 
 
 def save_checkpoint(path, traj: Trajectory, representation: str, rows: int):
-    """Commit a leg: its final state and monitor accumulators, the run's
-    config as one JSON string, and rows, the series rows written so far."""
-    mon = traj.monitor_state
+    """Commit a leg: its final state and monitor accumulators (MonitorState's
+    fields in order), the run's config as one JSON string, and rows, the
+    series rows written so far."""
     _replace_atomically(path, lambda fh: np.savez(
-        fh, step=traj.steps, rows=rows,
-        mon=np.array([mon.min_s0, mon.sup_r, mon.acc_r, mon.acc_w,
-                      mon.prev_t, mon.prev_ir, mon.prev_iw, mon.eps0]),
+        fh, step=traj.steps, rows=rows, mon=np.array(astuple(traj.monitor_state)),
         config=json.dumps(config_to_dict(traj.config, representation)),
         **_state_arrays(traj.final_state)))
 
@@ -355,7 +353,7 @@ def load_checkpoint(path, config: FlowConfig | None = None,
         raise
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if vals.shape != (8,) or not np.all(np.isfinite(vals)):
+    if vals.shape != (len(fields(MonitorState)),) or not np.all(np.isfinite(vals)):
         raise CheckpointError(f"checkpoint {path} has malformed monitor state")
     if config is not None:
         # the stored side went through a JSON round trip; so does this one
@@ -364,9 +362,7 @@ def load_checkpoint(path, config: FlowConfig | None = None,
             if key not in RESUMABLE and stored.get(key) != wanted.get(key):
                 raise CheckpointError(f"checkpoint {key} {stored.get(key)} does not match "
                                       f"config {key} {wanted.get(key)}")
-    mon = MonitorState(min_s0=vals[0], sup_r=vals[1], acc_r=vals[2], acc_w=vals[3],
-                       prev_t=vals[4], prev_ir=vals[5], prev_iw=vals[6], eps0=vals[7])
-    return state, steps, mon, rows
+    return state, steps, MonitorState(*vals), rows
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +396,14 @@ def read_manifest(path) -> dict | None:
 
 def trajectory_summary(traj: Trajectory, records: int) -> dict:
     """The manifest summary of a run whose series holds records rows; the
-    final values come from the last leg, traj."""
-    last = traj.records[-1].monitor if traj.records else None
+    final values are those of the state the last leg, traj, ended on."""
+    final = traj.final.monitor
     return {
         "final_t": traj.final_t,
         "steps": traj.steps,
         "records": records,
-        "min_s_final": None if last is None else last.min_s,
-        "max_rm_final": None if last is None else last.max_rm,
-        "acc_r": None if last is None else last.acc_r,
-        "acc_w": None if last is None else last.acc_w,
+        "min_s_final": final.min_s,
+        "max_rm_final": final.max_rm,
+        "acc_r": final.acc_r,
+        "acc_w": final.acc_w,
     }

@@ -198,6 +198,27 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert read_manifest(full / "manifest.json")["summary"]["records"] == lines
 
 
+@pytest.mark.parametrize("output_every, back", [(10, 2), (1, 0)],
+                         ids=["split_off_cadence", "resumed_leg_without_records"])
+def test_resume_of_a_nonfinite_run_matches_uninterrupted_run(tmp_path, output_every, back):
+    # past a threshold it cannot reach, the cylinder's pinch ends non-finite;
+    # split `back` steps before the last accepted step: with output_every 10
+    # that state is off the cadence and belongs to the resumed leg; with
+    # output_every 1 and a split at it, the resumed leg makes no record
+    text = (CYLINDER_CONFIG.replace("blowup_threshold: 1.0e6", "blowup_threshold: 1.0e300")
+            .replace("output_every: 10", f"output_every: {output_every}"))
+    cfg = write_config(tmp_path, text)
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(["run", str(cfg), "-o", str(full)]) == 3
+    summary = read_manifest(full / "manifest.json")["summary"]
+    assert None not in summary.values()
+    split = summary["steps"] - back
+    assert main(["run", str(cfg), "-o", str(part), "--max-steps", str(split)]) == 0
+    assert main(["resume", str(part)]) == 3
+    assert (part / "series.jsonl").read_bytes() == (full / "series.jsonl").read_bytes()
+    assert read_manifest(part / "manifest.json")["summary"] == summary
+
+
 def test_resume_completed_run_is_noop(tmp_path, capsys):
     cfg = write_config(tmp_path, FLAT_CONFIG)
     out = tmp_path / "out"
@@ -267,6 +288,8 @@ def test_resume_refuses_checkpoint_of_an_older_layout(tmp_path, capsys):
     (("n: 4", "n: 5"), "checkpoint error: checkpoint n 4 does not match config n 5"),
     (("alpha: 0.0", "alpha: 0.5"), "checkpoint error: checkpoint alpha 0.0"),
     (("blowup_threshold: 1.0e6", "blowup_threshold: 3.0"), "config error: blowup_threshold 3"),
+    # t_end is resumable, but the checkpoint's state is already at t=0.01
+    (("t_end: 0.3", "t_end: 0.01"), "config error: t_end 0.01 must exceed the initial t 0.01"),
     (("m: 16", "m: 16\nrepresentation: homogeneous"),
      "checkpoint error: checkpoint representation warped does not match "
      "config representation homogeneous"),
@@ -276,20 +299,19 @@ def test_resume_refuses_checkpoint_of_an_older_layout(tmp_path, capsys):
      "checkpoint error: checkpoint dt 0.001 does not match config dt None"),
     (("m: 16", "m: 16\nrate_limit: 0.1"),
      "checkpoint error: checkpoint rate_limit 0.05 does not match config rate_limit 0.1"),
-], ids=["m", "n", "alpha", "threshold_below_checkpoint_rm", "representation",
-        "c_cfl", "dt", "rate_limit"])
+], ids=["m", "n", "alpha", "threshold_below_checkpoint_rm", "t_end_at_checkpoint_t",
+        "representation", "c_cfl", "dt", "rate_limit"])
 def test_resume_refuses_config_contradicting_checkpoint(tmp_path, capsys, edit, message):
     cfg = write_config(tmp_path, CYLINDER_CONFIG)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "-o", str(out), "--max-steps", "10"]) == 0
-    series = (out / "series.jsonl").read_bytes()
     config = out / "config.yaml"
     config.write_text(config.read_text().replace(*edit))
+    before = directory_bytes(out)
     capsys.readouterr()
     assert main(["resume", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert (out / "series.jsonl").read_bytes() == series
-    assert not (out / "manifest.json").exists()
+    assert directory_bytes(out) == before
 
 
 # The benchmark's checkpoint_io config (perfbench/workloads.py).

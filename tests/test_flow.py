@@ -212,6 +212,17 @@ def test_blowup_threshold_must_exceed_initial():
         run(cfg, state)
 
 
+def test_t_end_must_exceed_initial_t():
+    # a state at or past t_end has nothing to integrate; run refuses it as it
+    # refuses a blowup_threshold the state already reaches
+    m = 16
+    cfg = FlowConfig(scenario="custom", n=4, alpha=0.0, m=m, t_end=0.1, dt=1e-3)
+    for t in (0.1, 0.15):
+        state = WarpedState(4, Fiber.ROUND_SPHERE, 0.0, np.ones(m), np.ones(m), t=t)
+        with pytest.raises(ValueError, match=f"t_end 0.1 must exceed the initial t {t:g}"):
+            run(cfg, state)
+
+
 def test_nonfinite_termination_when_steps_stall():
     # with an unreachably large threshold the pinch stalls the step size,
     # and the trajectory ends with reason nonfinite at the last resolved time
