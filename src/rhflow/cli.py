@@ -1,5 +1,8 @@
 """Command-line entry point: run / verify / converge / resume.
 
+Commands parse arguments, check --max-steps and map outcomes to exit
+codes; runio names, writes and reads the run directory.
+
 Exit codes: 0 success (including blow-up terminations), 1 failed
 verification checks or a convergence study below its expected order,
 2 configuration, usage, run-file or I/O errors, 3 a run that ended with
@@ -10,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 from dataclasses import asdict
-import shutil
 import sys
 from pathlib import Path
 
@@ -19,42 +21,17 @@ from .flow import Trajectory, run
 from .oracles import SCENARIO_IDS, default_scenario, exact_state
 
 
-# What a run directory holds; `rhflow run` refuses a directory with any of it.
-_RUN_ENTRIES = ("config.yaml", "series.jsonl", "checkpoint.npz", "manifest.json",
-                runio.SNAPSHOT_DIR)
-
-
-def _commit_leg(outdir: Path, representation: str, traj: Trajectory, rows: int, *,
-                append: bool) -> int:
-    """Write the leg's series rows, its snapshot file and the checkpoint,
-    in that order (the checkpoint commits the leg and rows, the series
-    row count after it), then the manifest if the run has ended.  Returns
-    the exit code."""
-    series = outdir / "series.jsonl"
-    if append:
-        runio.append_series(series, traj.records)
-    else:
-        runio.write_series(series, traj.records)
-    leg = runio.snapshot_leg(traj.records, traj.config.snapshot_every)
-    if leg is not None:
-        name, states, steps = leg
-        runio.save_snapshot(outdir / name, states, steps)
-    runio.save_checkpoint(outdir / "checkpoint.npz", traj, representation, rows)
-    summary = runio.trajectory_summary(traj, rows)
-    if traj.termination is not None:
-        files = ["config.yaml", "series.jsonl", "checkpoint.npz", "manifest.json"]
-        runio.write_manifest(outdir / "manifest.json",
-                             runio.config_to_dict(traj.config, representation),
-                             traj.termination, summary, files + runio.snapshot_files(outdir))
-    print(f"termination: {traj.termination}  t={summary['final_t']:.8g}  "
-          f"steps={summary['steps']}  records={summary['records']}")
+def _report(traj: Trajectory, records: int) -> int:
+    """Print a committed leg's outcome; returns the exit code."""
+    print(f"termination: {traj.termination}  t={traj.final_t:.8g}  "
+          f"steps={traj.steps}  records={records}")
     return 3 if traj.termination == "nonfinite" else 0
 
 
 def cmd_run(args) -> int:
     config, scn, representation = runio.load_config(args.config)
     outdir = Path(args.output)
-    held = [name for name in _RUN_ENTRIES if (outdir / name).exists()]
+    held = [name for name in runio.RUN_ENTRIES if (outdir / name).exists()]
     if held:
         print(f"usage error: {outdir} already holds a run ({held[0]}); give a new or "
               f"empty directory, or resume that run", file=sys.stderr)
@@ -65,37 +42,28 @@ def cmd_run(args) -> int:
     except ValueError as exc:  # initial data that the grid or the bounds reject
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(args.config, outdir / "config.yaml")
-    return _commit_leg(outdir, representation, traj, len(traj.records), append=False)
+    return _report(traj, runio.commit_leg(outdir, traj, representation,
+                                          config_file=args.config))
 
 
 def cmd_resume(args) -> int:
-    outdir = Path(args.rundir)
-    manifest = runio.read_manifest(outdir / "manifest.json")
-    if manifest is not None and manifest.get("termination"):
-        print(f"run already complete (termination: {manifest['termination']}); nothing to do")
-        return 0
-    config, scn, representation = runio.load_config(outdir / "config.yaml")
-    state, steps, monitor_state, rows = runio.load_checkpoint(
-        outdir / "checkpoint.npz", config, representation)
-    if args.max_steps is not None and args.max_steps <= steps:
-        print(f"usage error: --max-steps {args.max_steps} must exceed the "
-              f"{steps} steps the checkpoint has already taken", file=sys.stderr)
-        return 2
-    series = outdir / "series.jsonl"
-    found = len(runio.read_series(series))
-    if found < rows:
-        raise runio.RunFileError(f"{series} holds {found} complete rows, fewer than "
-                                 f"the {rows} that the checkpoint committed")
     try:
-        traj = run(config, state, steps_done=steps, monitor_state=monitor_state,
-                   stop_after_steps=args.max_steps)
+        start = runio.open_resume(args.rundir)
+    except runio.RunComplete as done:
+        print(f"run already complete (termination: {done}); nothing to do")
+        return 0
+    if args.max_steps is not None and args.max_steps <= start.steps:
+        print(f"usage error: --max-steps {args.max_steps} must exceed the "
+              f"{start.steps} steps the checkpoint has already taken", file=sys.stderr)
+        return 2
+    try:
+        traj = run(start.config, start.state, steps_done=start.steps,
+                   monitor_state=start.monitor_state, stop_after_steps=args.max_steps)
     except ValueError as exc:  # a t_end or blowup_threshold the checkpoint reaches
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    runio.discard_past(outdir, steps, rows)
-    return _commit_leg(outdir, representation, traj, rows + len(traj.records), append=True)
+    return _report(traj, runio.commit_leg(args.rundir, traj, start.representation,
+                                          start=start))
 
 
 def cmd_verify(args) -> int:
@@ -159,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_res = sub.add_parser("resume", help="continue an interrupted run")
-    p_res.add_argument("rundir", help="run directory with checkpoint.npz")
+    p_res.add_argument("rundir", help="run directory of an interrupted run")
     p_res.add_argument("--max-steps", type=_step_count, default=None,
                        help="stop (resumably) once the run has taken this many steps "
                             "in total; must exceed the checkpoint's step count")

@@ -55,8 +55,6 @@ from .analysis import EPS0, MonitorRecord, MonitorState, make_monitor_record
 from .geometry import (Fiber, HomogeneousState, State, WarpedState, curvature_fields,
                        warped_terms)
 
-TERMINATION_REASONS = ("reached_t_end", "blowup_threshold", "nonfinite")
-
 # Test hook: sign applied to the map-coupling term of the metric flow.
 # Flipping it is used by the verification suite's mutation fixture.
 _COUPLING_SIGN = 1.0
@@ -131,9 +129,9 @@ class Trajectory:
     """The records a leg made plus termination bookkeeping.
 
     final is the record of the state the leg ended on; it is the last
-    record when that one holds the final state.  termination is one of
-    TERMINATION_REASONS, or None when integration was interrupted by a
-    step budget (resumable; used for checkpoint tests)."""
+    record when that one holds the final state.  termination is
+    "reached_t_end", "blowup_threshold" or "nonfinite", or None when
+    integration was interrupted by a step budget (resumable)."""
 
     records: list[FlowRecord]
     termination: str | None
@@ -179,7 +177,7 @@ def rhs(state: State, y=None) -> tuple[np.ndarray, ...]:
     if not isinstance(state, WarpedState):
         return (rhs_homogeneous(state),)
     f, psi, u = state.arrays() if y is None else y
-    terms = warped_terms(state.n, state.fiber_curvature, state.h, f, psi, u, state.winding)
+    terms = warped_terms(state.n, state.fiber.curvature, state.h, f, psi, u, state.winding)
     return _warped_rates(state, f, psi, *terms)
 
 
@@ -285,10 +283,10 @@ def run(config: FlowConfig, initial: State, *,
         monitor_state: MonitorState | None = None) -> Trajectory:
     """Integrate until t_end, the blow-up threshold, or failure.
 
-    One recording rule, over all legs of a run: a state is recorded when
-    its step is a multiple of output_every, and the state the run ends
-    on is recorded too unless that cadence already did.  A resumed leg
-    (steps_done > 0) leaves its start state to the leg before it.
+    One recording rule, for every leg alike (a resumed leg's start state
+    too): a state is recorded when its step is a multiple of output_every,
+    and the state the run ends on unless that cadence already did;
+    runio.commit_leg keeps a state that two legs recorded once.
     Deterministic for a fixed config and initial state.
     steps_done/monitor_state allow bit-exact continuation from a
     checkpoint; stop_after_steps, which must exceed steps_done,
@@ -321,8 +319,7 @@ def run(config: FlowConfig, initial: State, *,
     while True:
         termination = ("blowup_threshold" if fields.max_rm >= config.blowup_threshold
                        else "reached_t_end" if state.t >= t_end - tol else None)
-        if ((steps == 0 or steps > steps_done)
-                and (termination or steps % config.output_every == 0)):
+        if termination or steps % config.output_every == 0:
             records.append(record())
         if termination or steps == stop_after_steps:
             break

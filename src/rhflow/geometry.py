@@ -133,10 +133,6 @@ class WarpedState:
     def h(self) -> float:
         return TWO_PI / self.m
 
-    @property
-    def fiber_curvature(self) -> float:
-        return self.fiber.curvature
-
     def copy(self) -> "WarpedState":
         return WarpedState(self.n, self.fiber, self.alpha, self.f.copy(),
                            self.psi.copy(), self.winding, self.u.copy(), self.t)
@@ -361,7 +357,7 @@ def compute_curvature(state: WarpedState) -> CurvatureFields:
     n = state.n
     alpha = state.alpha
     k_rad, k_fib, grad_phi_sq, lap_phi = warped_terms(
-        n, state.fiber_curvature, state.h, state.f, state.psi, state.u, state.winding)
+        n, state.fiber.curvature, state.h, state.f, state.psi, state.u, state.winding)
 
     scalar = 2.0 * (n - 1) * k_rad + (n - 1) * (n - 2) * k_fib
     lam0 = (n - 1) * k_rad

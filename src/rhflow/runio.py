@@ -1,16 +1,19 @@
 """On-disk formats: config files, time series, snapshots, checkpoints,
-manifests.
+manifests, and the run directory that holds them.
 
 One canonical config format (YAML, documented in the README), one
 line-delimited JSON time-series format, and float64 .npz snapshots (one
 file per run leg) chosen so checkpointed state round-trips bit-exactly
 for resume.  Snapshot files, checkpoints and manifests are replaced
-atomically.
+atomically.  This module alone names, writes and reads a run directory.
 """
 from __future__ import annotations
 
 import json
 import os
+import re
+import shutil
+from collections import namedtuple
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
@@ -246,27 +249,6 @@ def _state_from_arrays(data) -> State:
     raise CheckpointError(f"unknown state kind {kind!r}")
 
 
-SNAPSHOT_DIR = "snapshots"
-
-
-def snapshot_leg(records, every: int) -> tuple[str, list[State], list[int]] | None:
-    """The snapshot file of one run leg (one `rhflow run` or `resume`): its
-    name relative to the run directory, and the states and steps of the
-    records on the snapshot_every cadence.  None when the leg takes no
-    snapshot."""
-    taken = [rec for rec in records if every > 0 and rec.step % every == 0]
-    if not taken:
-        return None
-    first, last = taken[0].step, taken[-1].step
-    return (f"{SNAPSHOT_DIR}/states_{first:08d}_{last:08d}.npz",
-            [rec.state for rec in taken], [rec.step for rec in taken])
-
-
-def snapshot_files(rundir) -> list[str]:
-    """The snapshot files in a run directory, relative to it, sorted."""
-    return sorted(f"{SNAPSHOT_DIR}/{p.name}" for p in Path(rundir, SNAPSHOT_DIR).glob("*.npz"))
-
-
 def save_snapshot(path, states: list[State], steps: list[int]):
     """Write the states of one run leg, in step order, to one file: the
     run constants once, and step, t and each state array stacked along a
@@ -301,21 +283,6 @@ def load_snapshot(path) -> list[tuple[State, int]]:
                               f"per-leg states_<first>_<last>.npz files")
     return [(_state_from_arrays({**data, **{key: data[key][i] for key in per_state}}),
              int(step)) for i, step in enumerate(steps)]
-
-
-def discard_past(rundir, step: int, rows: int):
-    """Drop what a failed leg wrote past the checkpoint at step, which
-    committed rows series rows: every later byte of the series (a torn
-    row too), and snapshot files that start after step.  A leg writes
-    its series rows, then its snapshot file, then the checkpoint."""
-    series = Path(rundir, "series.jsonl")
-    data = series.read_bytes()
-    kept = b"".join(line + b"\n" for line in data.split(b"\n")[:rows])
-    if kept != data:
-        _replace_atomically(series, lambda fh: fh.write(kept))
-    for path in Path(rundir, SNAPSHOT_DIR).glob("states_*_*.npz"):
-        if int(path.stem.split("_")[1]) > step:
-            path.unlink()
 
 
 # The config keys a resumed leg may change: where and how often it stops
@@ -366,17 +333,26 @@ def load_checkpoint(path, config: FlowConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# manifest
+# run directory
+
+# What a run directory holds; `rhflow run` refuses a directory with any of it.
+RUN_ENTRIES = CONFIG, SERIES, CHECKPOINT, MANIFEST, SNAPSHOT_DIR = (
+    "config.yaml", "series.jsonl", "checkpoint.npz", "manifest.json", "snapshots")
+_SNAPSHOT_NAME = "states_{:08d}_{:08d}.npz"  # a leg's first and last snapshot step
 
 
-def write_manifest(path, config: dict, termination: str, summary: dict, files: list[str]):
-    payload = {
-        "version": __version__,
-        "config": config,
-        "termination": termination,
-        "summary": summary,
-        "files": sorted(files),
-    }
+def write_manifest(path, traj: Trajectory, representation: str, records: int,
+                   files: list[str]):
+    """Write the completion marker of a run whose series holds records
+    rows: config echo, version, termination, summary and the run's files.
+    The summary's final values are those of the state the last leg, traj,
+    ended on."""
+    final = traj.final.monitor
+    summary = {"final_t": traj.final_t, "steps": traj.steps, "records": records,
+               "min_s_final": final.min_s, "max_rm_final": final.max_rm,
+               "acc_r": final.acc_r, "acc_w": final.acc_w}
+    payload = {"version": __version__, "config": config_to_dict(traj.config, representation),
+               "termination": traj.termination, "summary": summary, "files": sorted(files)}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _replace_atomically(path, lambda fh: fh.write(text.encode()))
 
@@ -394,16 +370,89 @@ def read_manifest(path) -> dict | None:
     return manifest
 
 
-def trajectory_summary(traj: Trajectory, records: int) -> dict:
-    """The manifest summary of a run whose series holds records rows; the
-    final values are those of the state the last leg, traj, ended on."""
-    final = traj.final.monitor
-    return {
-        "final_t": traj.final_t,
-        "steps": traj.steps,
-        "records": records,
-        "min_s_final": final.min_s,
-        "max_rm_final": final.max_rm,
-        "acc_r": final.acc_r,
-        "acc_w": final.acc_w,
-    }
+def _snapshot_files(rundir) -> dict[str, int]:
+    """{path relative to rundir: last step} of the files that _SNAPSHOT_NAME
+    names in SNAPSHOT_DIR; any other file there is not rhflow's."""
+    found = {}
+    for path in Path(rundir, SNAPSHOT_DIR).glob("*.npz"):
+        steps = re.fullmatch(r"states_([0-9]+)_([0-9]+)\.npz", path.name)
+        if steps and path.name == _SNAPSHOT_NAME.format(*map(int, steps.groups())):
+            found[f"{SNAPSHOT_DIR}/{path.name}"] = int(steps[2])
+    return found
+
+
+def discard_past(rundir, step: int, rows: int):
+    """Drop what a failed leg wrote past the checkpoint at step, which
+    committed rows series rows: every later byte of the series (a torn
+    row too), and the snapshot files that hold a step past step."""
+    series = Path(rundir, SERIES)
+    data = series.read_bytes()
+    kept = b"".join(line + b"\n" for line in data.split(b"\n")[:rows])
+    if kept != data:
+        _replace_atomically(series, lambda fh: fh.write(kept))
+    for name, last in _snapshot_files(rundir).items():
+        if last > step:
+            Path(rundir, name).unlink()
+
+
+class RunComplete(Exception):
+    """A resume of a run whose manifest records its end; the message is why."""
+
+
+# Where an interrupted run resumes: its config and representation, the
+# checkpoint's state, step, MonitorState and committed series rows, and the
+# last of those rows' t.
+ResumePoint = namedtuple("ResumePoint", "config representation state steps monitor_state "
+                                        "rows last_t")
+
+
+def open_resume(rundir) -> ResumePoint:
+    """Where an interrupted run resumes; changes no file.  Raises RunComplete,
+    and RunFileError for fewer series rows than the checkpoint committed."""
+    rundir = Path(rundir)
+    manifest = read_manifest(rundir / MANIFEST)
+    if manifest is not None and manifest.get("termination"):
+        raise RunComplete(manifest["termination"])
+    config, _, representation = load_config(rundir / CONFIG)
+    state, steps, monitor_state, rows = load_checkpoint(rundir / CHECKPOINT, config,
+                                                        representation)
+    found = read_series(rundir / SERIES)
+    if len(found) < rows:
+        raise RunFileError(f"{rundir / SERIES} holds {len(found)} complete rows, fewer "
+                           f"than the {rows} that the checkpoint committed")
+    return ResumePoint(config, representation, state, steps, monitor_state, rows,
+                       found[rows - 1].get("t") if rows else None)
+
+
+def commit_leg(rundir, traj: Trajectory, representation: str, *,
+               config_file=None, start: ResumePoint | None = None) -> int:
+    """Write a leg's series rows, snapshot file, checkpoint and, once the
+    run has ended, manifest, in that order; returns the series row count.
+    A fresh run (start None) first creates rundir and copies config_file
+    into it; a resumed leg first drops what a failed leg left past start,
+    and drops its first record if the last committed row holds that state
+    (the same t, as t increases along a run): each state is kept once."""
+    rundir = Path(rundir)
+    if start is None:
+        rundir.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(config_file, rundir / CONFIG)
+        rows, last_t = 0, None
+    else:
+        discard_past(rundir, start.steps, start.rows)
+        rows, last_t = start.rows, start.last_t
+    records = traj.records
+    if records and records[0].t == last_t:
+        records = records[1:]
+    (append_series if rows else write_series)(rundir / SERIES, records)
+    every = traj.config.snapshot_every
+    taken = [rec for rec in records if every and rec.step % every == 0]
+    if taken:
+        save_snapshot(rundir / SNAPSHOT_DIR / _SNAPSHOT_NAME.format(taken[0].step,
+                                                                    taken[-1].step),
+                      [rec.state for rec in taken], [rec.step for rec in taken])
+    rows += len(records)
+    save_checkpoint(rundir / CHECKPOINT, traj, representation, rows)
+    if traj.termination is not None:
+        write_manifest(rundir / MANIFEST, traj, representation, rows,
+                       [CONFIG, SERIES, CHECKPOINT, MANIFEST, *_snapshot_files(rundir)])
+    return rows

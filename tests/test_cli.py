@@ -198,13 +198,19 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert read_manifest(full / "manifest.json")["summary"]["records"] == lines
 
 
-@pytest.mark.parametrize("output_every, back", [(10, 2), (1, 0)],
-                         ids=["split_off_cadence", "resumed_leg_without_records"])
-def test_resume_of_a_nonfinite_run_matches_uninterrupted_run(tmp_path, output_every, back):
+@pytest.mark.parametrize("output_every, back, resumed_every", [
+    (10, 2, 10), (1, 0, 1), (10, 0, 1), (1, 0, 10),
+], ids=["split_off_cadence", "resumed_leg_without_records", "resume_on_a_finer_cadence",
+        "resume_on_a_coarser_cadence"])
+def test_resume_of_a_nonfinite_run_matches_uninterrupted_run(tmp_path, output_every, back,
+                                                             resumed_every):
     # past a threshold it cannot reach, the cylinder's pinch ends non-finite;
     # split `back` steps before the last accepted step: with output_every 10
     # that state is off the cadence and belongs to the resumed leg; with
-    # output_every 1 and a split at it, the resumed leg makes no record
+    # output_every 1 and a split at it, the resumed leg makes no record.
+    # A resume that changes output_every records by the new cadence from
+    # the checkpoint on; split at the last accepted step, that leaves the
+    # rows of the uninterrupted run at the old cadence, each state once.
     text = (CYLINDER_CONFIG.replace("blowup_threshold: 1.0e6", "blowup_threshold: 1.0e300")
             .replace("output_every: 10", f"output_every: {output_every}"))
     cfg = write_config(tmp_path, text)
@@ -214,9 +220,14 @@ def test_resume_of_a_nonfinite_run_matches_uninterrupted_run(tmp_path, output_ev
     assert None not in summary.values()
     split = summary["steps"] - back
     assert main(["run", str(cfg), "-o", str(part), "--max-steps", str(split)]) == 0
+    config = part / "config.yaml"
+    config.write_text(config.read_text().replace(f"output_every: {output_every}",
+                                                 f"output_every: {resumed_every}"))
     assert main(["resume", str(part)]) == 3
-    assert (part / "series.jsonl").read_bytes() == (full / "series.jsonl").read_bytes()
-    assert read_manifest(part / "manifest.json")["summary"] == summary
+    series = (part / "series.jsonl").read_bytes()
+    assert series == (full / "series.jsonl").read_bytes()
+    resumed = read_manifest(part / "manifest.json")["summary"]
+    assert resumed == summary and resumed["records"] == series.count(b"\n")
 
 
 def test_resume_completed_run_is_noop(tmp_path, capsys):
@@ -709,3 +720,20 @@ def test_resume_drops_a_torn_series_row(tmp_path):
         fh.write(b'{"t":0.14,"min_s"')  # a leg killed while appending
     assert main(["resume", str(out)]) == 0
     assert (out / "series.jsonl").read_bytes() == (full / "series.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("stray", ["states_notes_x.npz", "extra.npz"])
+def test_resume_leaves_a_stray_file_under_snapshots_alone(tmp_path, stray):
+    # only files named as rhflow names snapshot files are parsed, dropped
+    # past the checkpoint and listed in the manifest
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    full, out = tmp_path / "full", tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(full)]) == 0
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "150"]) == 0
+    path = out / "snapshots" / stray
+    path.write_bytes(b"notes")
+    assert main(["resume", str(out)]) == 0
+    assert (out / "series.jsonl").read_bytes() == (full / "series.jsonl").read_bytes()
+    files = read_manifest(out / "manifest.json")["files"]
+    assert sorted(files) == sorted(set(directory_bytes(out)) - {f"snapshots/{stray}"})
+    assert path.read_bytes() == b"notes"

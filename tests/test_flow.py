@@ -203,6 +203,21 @@ def test_stop_after_steps_must_exceed_steps_done():
     assert run(cfg, state, stop_after_steps=11, steps_done=10).steps == 11
 
 
+def test_a_leg_started_on_the_cadence_records_its_start_state_first():
+    # one recording rule for every leg: the state at a split on the cadence
+    # is recorded by both legs (runio keeps it once)
+    scn = Scenario("shrinking_cylinder", 4, 0.0)
+    cfg = FlowConfig(scenario=scn.id, n=4, alpha=0.0, m=16, dt=1e-3, t_end=0.05,
+                     output_every=10)
+    state = exact_state(scn, 0.0, 16)
+    full = run(cfg, state)
+    first = run(cfg, state, stop_after_steps=20)
+    second = run(cfg, first.final_state, steps_done=20, monitor_state=first.monitor_state)
+    assert first.records[-1].step == second.records[0].step == 20
+    assert ([(rec.step, rec.t) for rec in second.records]
+            == [(rec.step, rec.t) for rec in full.records if rec.step >= 20])
+
+
 def test_blowup_threshold_must_exceed_initial():
     m = 16
     state = WarpedState(4, Fiber.ROUND_SPHERE, 0.0, np.ones(m), np.ones(m))
