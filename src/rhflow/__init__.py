@@ -9,7 +9,7 @@ from .geometry import (CurvatureFields, Factor, Fiber, Grid, HomogeneousState,
                        curvature_fields, scale_state)
 from .christoffel import curvature_oracle_check
 from .flow import FlowConfig, StepError, Trajectory, rhs, rhs_homogeneous, run, step
-from .oracles import Scenario, exact_state, singular_time
+from .oracles import Scenario, exact_state, scenario_run, singular_time
 from . import analysis
 
 __all__ = [
@@ -17,6 +17,6 @@ __all__ = [
     "compute_curvature", "compute_curvature_homogeneous", "curvature_fields",
     "scale_state", "curvature_oracle_check",
     "FlowConfig", "StepError", "Trajectory", "rhs", "rhs_homogeneous", "run",
-    "step", "Scenario", "exact_state", "singular_time", "analysis",
+    "step", "Scenario", "exact_state", "scenario_run", "singular_time", "analysis",
     "__version__",
 ]

@@ -168,28 +168,32 @@ def monitor_S_evolution(traj, k: int | None = None) -> float:
         return _s_evolution_window(recs, k, fields_of)
     worst = None
     for kk in range(1, len(recs) - 1):
-        d1 = recs[kk].t - recs[kk - 1].t
-        d2 = recs[kk + 1].t - recs[kk].t
-        if abs(d1 - d2) > 1e-9 * max(d1, d2):
-            continue
-        worst = max(worst or 0.0, _s_evolution_window(recs, kk, fields_of))
+        if _window_span(recs, kk) is not None:
+            worst = max(worst or 0.0, _s_evolution_window(recs, kk, fields_of))
     if worst is None:
         raise ValueError("need at least three uniformly spaced snapshots")
     return worst
 
 
+def _window_span(recs, k: int) -> float | None:
+    """The two t spacings around record k summed, or None unless they agree to 1e-9."""
+    d1 = recs[k].t - recs[k - 1].t
+    d2 = recs[k + 1].t - recs[k].t
+    if abs(d1 - d2) > 1e-9 * max(d1, d2):
+        return None
+    return d1 + d2
+
+
 def _s_evolution_window(recs, k: int, fields_of) -> float:
     if not (1 <= k <= len(recs) - 2):
         raise ValueError(f"window index {k} needs neighbors on both sides")
-    prev, mid, nxt = recs[k - 1], recs[k], recs[k + 1]
-    d1 = mid.t - prev.t
-    d2 = nxt.t - mid.t
-    if abs(d1 - d2) > 1e-9 * max(d1, d2):
+    span = _window_span(recs, k)
+    if span is None:
         raise ValueError("snapshots are not uniformly spaced around the window")
     f_prev, f_mid, f_next = fields_of(k - 1), fields_of(k), fields_of(k + 1)
-    dsdt = (f_next.s_flow - f_prev.s_flow) / (d1 + d2)
-    lap_s = mid.state.laplacian(f_mid.s_flow)
-    alpha = mid.state.alpha
+    dsdt = (f_next.s_flow - f_prev.s_flow) / span
+    lap_s = recs[k].state.laplacian(f_mid.s_flow)
+    alpha = recs[k].state.alpha
     resid = dsdt - lap_s - 2.0 * f_mid.flow_tensor_sq - alpha * f_mid.lap_phi**2
     return float(np.max(np.abs(resid)))
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, convergence, runio, verification
 from .flow import Trajectory, run
-from .oracles import SCENARIO_IDS, default_scenario, exact_state
+from .oracles import SCENARIO_IDS, default_scenario
 
 
 def _report(traj: Trajectory, records: int) -> int:
@@ -29,7 +29,8 @@ def _report(traj: Trajectory, records: int) -> int:
 
 
 def cmd_run(args) -> int:
-    config, scn, representation = runio.load_config(args.config)
+    """Start a run in a new directory from the config file's (config, initial state)."""
+    config, initial = runio.load_config(args.config)
     outdir = Path(args.output)
     held = [name for name in runio.RUN_ENTRIES if (outdir / name).exists()]
     if held:
@@ -37,13 +38,11 @@ def cmd_run(args) -> int:
               f"empty directory, or resume that run", file=sys.stderr)
         return 2
     try:
-        initial = exact_state(scn, 0.0, config.m, representation)
         traj = run(config, initial, stop_after_steps=args.max_steps)
-    except ValueError as exc:  # initial data that the grid or the bounds reject
+    except ValueError as exc:  # initial data that the bounds reject
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _report(traj, runio.commit_leg(outdir, traj, representation,
-                                          config_file=args.config))
+    return _report(traj, runio.commit_leg(outdir, traj, config_file=args.config))
 
 
 def cmd_resume(args) -> int:
@@ -62,8 +61,7 @@ def cmd_resume(args) -> int:
     except ValueError as exc:  # a t_end or blowup_threshold the checkpoint reaches
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _report(traj, runio.commit_leg(args.rundir, traj, start.representation,
-                                          start=start))
+    return _report(traj, runio.commit_leg(args.rundir, traj, start=start))
 
 
 def cmd_verify(args) -> int:

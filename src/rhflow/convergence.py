@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fit_order, monitor_S_evolution
-from .flow import FlowConfig, run
-from .oracles import SCENARIOS, Scenario, exact_state
+from .flow import run
+from .oracles import SCENARIOS, Scenario, exact_state, scenario_run
 
 _EXACT_FLOOR = 1e-12
 
@@ -54,9 +54,8 @@ def temporal_study(scn: Scenario, dts, t_star: float, m: int = 16) -> StudyResul
     fixed step sizes.  RK4 gives order 4 on the curved closed forms."""
     errors = []
     for dt in dts:
-        cfg = FlowConfig(scenario=scn.id, n=scn.n, alpha=scn.alpha, m=m, dt=float(dt),
-                         t_end=t_star, output_every=10**9, rate_limit=1e9)
-        traj = run(cfg, exact_state(scn, 0.0, m))
+        traj = run(*scenario_run(scn, m=m, dt=float(dt), t_end=t_star, output_every=10**9,
+                                 rate_limit=1e9))
         errors.append(state_error(traj.final_state, exact_state(scn, t_star, m)))
     return _finish("temporal", dts, errors)
 
@@ -69,9 +68,8 @@ def spatial_study(scn: Scenario, ms, dt: float, t_star: float,
     m_ref = ms[-1] * ref_factor
 
     def evolve(m):
-        cfg = FlowConfig(scenario=scn.id, n=scn.n, alpha=scn.alpha, m=m, dt=dt,
-                         t_end=t_star, output_every=10**9)
-        return run(cfg, exact_state(scn, 0.0, m)).final_state
+        return run(*scenario_run(scn, m=m, dt=dt, t_end=t_star,
+                                 output_every=10**9)).final_state
 
     reference = evolve(m_ref)
     errors = [state_error(evolve(m), reference) for m in ms]
@@ -88,9 +86,7 @@ def s_residual_study(scn: Scenario, ms, theta: float = 0.05,
     for m in ms:
         h = 2.0 * np.pi / int(m)
         dt = theta * h * h
-        cfg = FlowConfig(scenario=scn.id, n=scn.n, alpha=scn.alpha, m=int(m), dt=dt,
-                         t_end=t_star, output_every=1)
-        traj = run(cfg, exact_state(scn, 0.0, int(m)))
+        traj = run(*scenario_run(scn, m=int(m), dt=dt, t_end=t_star, output_every=1))
         errors.append(monitor_S_evolution(traj))
         hs.append(h)
     return _finish("s_residual", hs, errors)
@@ -102,9 +98,7 @@ def s_residual_temporal_study(scn: Scenario, dts, t_star: float = 0.05,
     constant data, where the only error source is the time derivative."""
     errors = []
     for dt in dts:
-        cfg = FlowConfig(scenario=scn.id, n=scn.n, alpha=scn.alpha, m=m,
-                         dt=float(dt), t_end=t_star, output_every=1)
-        traj = run(cfg, exact_state(scn, 0.0, m))
+        traj = run(*scenario_run(scn, m=m, dt=float(dt), t_end=t_star, output_every=1))
         errors.append(monitor_S_evolution(traj))
     return _finish("s_residual", dts, errors)
 

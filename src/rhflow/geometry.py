@@ -186,13 +186,11 @@ class WarpedState:
         return self.winding == 0
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Laplace-Beltrami operator on x-only scalars:
-        v_ss + (n-1)(psi_s/psi) v_s."""
+        """Laplace-Beltrami operator v_ss + (n-1)(psi_s/psi) v_s on x-only scalars."""
         h, f = self.h, self.f
-        v_s = dx_periodic(values, h) / f
-        v_ss = dx_periodic(v_s, h) / f
         psi_s = dx_periodic(self.psi, h) / f
-        return v_ss + (self.n - 1) * (psi_s / self.psi) * v_s
+        v_s = dx_periodic(values, h) / f
+        return _warped_laplacian(self.n, h, f, self.psi, psi_s, v_s)
 
 
 @dataclass(frozen=True)
@@ -337,6 +335,12 @@ def _weyl_sq(n: int, rm_sq, ric_sq, scalar_sq):
     return rm_sq - 4.0 / (n - 2) * ric_sq + 2.0 / ((n - 1) * (n - 2)) * scalar_sq
 
 
+def _warped_laplacian(n: int, h: float, f, psi, psi_s, v_s):
+    """v_ss + (n-1)(psi_s/psi) v_s, given the s-derivatives psi_s and v_s:
+    the Laplace-Beltrami operator of WarpedState.laplacian and of Lap phi."""
+    return dx_periodic(v_s, h) / f + (n - 1) * (psi_s / psi) * v_s
+
+
 def warped_terms(n: int, c: float, h: float, f, psi, u, winding: int):
     """The derivative kernel of the warped ansatz: (k_rad, k_fib,
     |grad phi|^2, Lap phi) of the data f, psi, u on a periodic grid of
@@ -345,8 +349,7 @@ def warped_terms(n: int, c: float, h: float, f, psi, u, winding: int):
     psi_s = dx_periodic(psi, h) / f
     psi_ss = dx_periodic(psi_s, h) / f
     phi_s = (winding + dx_periodic(u, h)) / f
-    phi_ss = dx_periodic(phi_s, h) / f
-    lap_phi = phi_ss + (n - 1) * (psi_s / psi) * phi_s
+    lap_phi = _warped_laplacian(n, h, f, psi, psi_s, phi_s)
     return -psi_ss / psi, (c - psi_s**2) / psi**2, phi_s**2, lap_phi
 
 

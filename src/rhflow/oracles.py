@@ -1,5 +1,6 @@
-"""Scenario registry (SCENARIOS) and the closed-form reference solutions
-used as ground truth by tests.
+"""Scenario registry (SCENARIOS), the closed-form reference solutions
+used as ground truth by tests, and scenario_run, the one place a
+scenario becomes a run's config and initial state.
 
 Scenarios with exact solutions:
 
@@ -21,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .flow import FlowConfig
 from .geometry import Factor, Fiber, Grid, HomogeneousState, WarpedState
 
 
@@ -184,3 +186,10 @@ def exact_state(scn: Scenario, t: float, m: int = 64, representation: str | None
     f, psi, winding, u = build(scn, t, Grid(m).x)
     return WarpedState(scn.n, spec.fiber, scn.alpha, f, psi, winding, u, t)
 
+
+def scenario_run(scn: Scenario, representation: str | None = None, **fields):
+    """(config, initial state) of a run of scn: a config of its id, n, alpha and
+    registry fiber plus the given run fields, and its closed form at t = 0."""
+    cfg = FlowConfig(scenario=scn.id, n=scn.n, alpha=scn.alpha, fiber=SCENARIOS[scn.id].fiber,
+                     **fields)
+    return cfg, exact_state(scn, 0.0, cfg.m, representation)

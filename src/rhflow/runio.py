@@ -24,7 +24,7 @@ from . import __version__
 from .analysis import MonitorState
 from .flow import FlowConfig, Trajectory
 from .geometry import Factor, Fiber, HomogeneousState, State, WarpedState
-from .oracles import SCENARIO_IDS, SCENARIOS, Scenario
+from .oracles import SCENARIO_IDS, SCENARIOS, Scenario, scenario_run
 
 SERIES_FIELDS = ("t", "min_s", "max_s", "max_grad_phi_sq", "max_ric", "max_rm",
                  "grad_margin", "phi_min", "phi_max", "length", "volume",
@@ -80,10 +80,11 @@ def _typed(cls, values: dict) -> dict:
     return out
 
 
-def parse_config(raw: dict) -> tuple[FlowConfig, Scenario, str]:
-    """Validate a config mapping and build the run objects.  The scenario's
-    registry entry gives the fiber, the allowed representations and
-    parameters; keys the mapping leaves out take FlowConfig's defaults."""
+def parse_config(raw: dict) -> tuple[FlowConfig, State]:
+    """Validate a config mapping and build the run's (config, initial state)
+    with oracles.scenario_run.  The scenario's registry entry gives the fiber,
+    the allowed representations and parameters; keys the mapping leaves out
+    take FlowConfig's defaults.  Initial data the grid rejects is refused."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of keys to values")
     unknown = set(raw) - _CONFIG_KEYS
@@ -108,10 +109,10 @@ def parse_config(raw: dict) -> tuple[FlowConfig, Scenario, str]:
     # n and alpha are run fields: typed with the others, named without the
     # scenario-parameter label that params entries get
     settings = _typed(FlowConfig, {key: raw[key] for key in raw
-                                   if key not in ("representation", "params")})
+                                   if key not in ("scenario", "representation", "params")})
     try:
         params = _typed(Scenario, params)
-        scn = Scenario(scenario_id, n=settings["n"], alpha=settings["alpha"], **params)
+        scn = Scenario(scenario_id, n=settings.pop("n"), alpha=settings.pop("alpha"), **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario parameters: {exc}") from exc
 
@@ -121,13 +122,13 @@ def parse_config(raw: dict) -> tuple[FlowConfig, Scenario, str]:
                           f"representation; it has {spec.representations}")
 
     try:
-        cfg = FlowConfig(**settings, fiber=spec.fiber, params=params)
+        return scenario_run(scn, representation, **settings, params=params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-    return cfg, scn, representation
 
 
-def load_config(path) -> tuple[FlowConfig, Scenario, str]:
+def load_config(path) -> tuple[FlowConfig, State]:
+    """parse_config of a YAML config file: the run's (config, initial state)."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -140,10 +141,11 @@ def load_config(path) -> tuple[FlowConfig, Scenario, str]:
     return parse_config(raw)
 
 
-def config_to_dict(cfg: FlowConfig, representation: str) -> dict:
+def config_to_dict(cfg: FlowConfig, state: State) -> dict:
+    """cfg as plain values, with the kind of state (a state of the run) as representation."""
     out = asdict(cfg)
     out["fiber"] = cfg.fiber.value
-    out["representation"] = representation
+    out["representation"] = _state_constants(state)["kind"]
     return out
 
 
@@ -292,21 +294,20 @@ def load_snapshot(path) -> list[tuple[State, int]]:
 RESUMABLE = ("t_end", "blowup_threshold", "output_every", "snapshot_every")
 
 
-def save_checkpoint(path, traj: Trajectory, representation: str, rows: int):
+def save_checkpoint(path, traj: Trajectory, rows: int):
     """Commit a leg: its final state and monitor accumulators (MonitorState's
     fields in order), the run's config as one JSON string, and rows, the
     series rows written so far."""
     _replace_atomically(path, lambda fh: np.savez(
         fh, step=traj.steps, rows=rows, mon=np.array(astuple(traj.monitor_state)),
-        config=json.dumps(config_to_dict(traj.config, representation)),
+        config=json.dumps(config_to_dict(traj.config, traj.final_state)),
         **_state_arrays(traj.final_state)))
 
 
-def load_checkpoint(path, config: FlowConfig | None = None,
-                    representation: str | None = None):
+def load_checkpoint(path, config: FlowConfig | None = None, initial: State | None = None):
     """Returns (state, steps, MonitorState, rows).  Raises CheckpointError
-    on unreadable data, and, given the run's config and representation,
-    on any difference from the checkpoint's config outside RESUMABLE."""
+    on unreadable data, and, given the run's config and initial state, on
+    any difference from the checkpoint's config outside RESUMABLE."""
     try:
         with np.load(path, allow_pickle=False) as data:
             if "config" not in data:
@@ -324,7 +325,7 @@ def load_checkpoint(path, config: FlowConfig | None = None,
         raise CheckpointError(f"checkpoint {path} has malformed monitor state")
     if config is not None:
         # the stored side went through a JSON round trip; so does this one
-        wanted = json.loads(json.dumps(config_to_dict(config, representation)))
+        wanted = json.loads(json.dumps(config_to_dict(config, initial)))
         for key in dict.fromkeys([*wanted, *stored]):
             if key not in RESUMABLE and stored.get(key) != wanted.get(key):
                 raise CheckpointError(f"checkpoint {key} {stored.get(key)} does not match "
@@ -341,8 +342,7 @@ RUN_ENTRIES = CONFIG, SERIES, CHECKPOINT, MANIFEST, SNAPSHOT_DIR = (
 _SNAPSHOT_NAME = "states_{:08d}_{:08d}.npz"  # a leg's first and last snapshot step
 
 
-def write_manifest(path, traj: Trajectory, representation: str, records: int,
-                   files: list[str]):
+def write_manifest(path, traj: Trajectory, records: int, files: list[str]):
     """Write the completion marker of a run whose series holds records
     rows: config echo, version, termination, summary and the run's files.
     The summary's final values are those of the state the last leg, traj,
@@ -351,7 +351,7 @@ def write_manifest(path, traj: Trajectory, representation: str, records: int,
     summary = {"final_t": traj.final_t, "steps": traj.steps, "records": records,
                "min_s_final": final.min_s, "max_rm_final": final.max_rm,
                "acc_r": final.acc_r, "acc_w": final.acc_w}
-    payload = {"version": __version__, "config": config_to_dict(traj.config, representation),
+    payload = {"version": __version__, "config": config_to_dict(traj.config, traj.final_state),
                "termination": traj.termination, "summary": summary, "files": sorted(files)}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _replace_atomically(path, lambda fh: fh.write(text.encode()))
@@ -399,39 +399,38 @@ class RunComplete(Exception):
     """A resume of a run whose manifest records its end; the message is why."""
 
 
-# Where an interrupted run resumes: its config and representation, the
-# checkpoint's state, step, MonitorState and committed series rows, and the
-# last of those rows' t.
-ResumePoint = namedtuple("ResumePoint", "config representation state steps monitor_state "
-                                        "rows last_t")
+# Where an interrupted run resumes: its config, the checkpoint's state, step,
+# MonitorState and committed series rows, and the last of those rows' t.
+ResumePoint = namedtuple("ResumePoint", "config state steps monitor_state rows last_t")
 
 
 def open_resume(rundir) -> ResumePoint:
-    """Where an interrupted run resumes; changes no file.  Raises RunComplete,
-    and RunFileError for fewer series rows than the checkpoint committed."""
+    """Where an interrupted run resumes; changes no file.  The config file's
+    (config, initial state) is checked against the checkpoint.  Raises
+    RunComplete, and RunFileError for fewer series rows than it committed."""
     rundir = Path(rundir)
     manifest = read_manifest(rundir / MANIFEST)
     if manifest is not None and manifest.get("termination"):
         raise RunComplete(manifest["termination"])
-    config, _, representation = load_config(rundir / CONFIG)
-    state, steps, monitor_state, rows = load_checkpoint(rundir / CHECKPOINT, config,
-                                                        representation)
+    config, initial = load_config(rundir / CONFIG)
+    state, steps, monitor_state, rows = load_checkpoint(rundir / CHECKPOINT, config, initial)
     found = read_series(rundir / SERIES)
     if len(found) < rows:
         raise RunFileError(f"{rundir / SERIES} holds {len(found)} complete rows, fewer "
                            f"than the {rows} that the checkpoint committed")
-    return ResumePoint(config, representation, state, steps, monitor_state, rows,
+    return ResumePoint(config, state, steps, monitor_state, rows,
                        found[rows - 1].get("t") if rows else None)
 
 
-def commit_leg(rundir, traj: Trajectory, representation: str, *,
-               config_file=None, start: ResumePoint | None = None) -> int:
+def commit_leg(rundir, traj: Trajectory, *, config_file=None,
+               start: ResumePoint | None = None) -> int:
     """Write a leg's series rows, snapshot file, checkpoint and, once the
     run has ended, manifest, in that order; returns the series row count.
     A fresh run (start None) first creates rundir and copies config_file
-    into it; a resumed leg first drops what a failed leg left past start,
-    and drops its first record if the last committed row holds that state
-    (the same t, as t increases along a run): each state is kept once."""
+    into it; a resumed leg first drops what a failed leg left past start.
+    Its first record, the checkpoint's state, is kept once: no new row if
+    the last committed row holds it (the same t), no new snapshot if a
+    committed snapshot file ends at its step (snapshot_every may change)."""
     rundir = Path(rundir)
     if start is None:
         rundir.mkdir(parents=True, exist_ok=True)
@@ -440,19 +439,21 @@ def commit_leg(rundir, traj: Trajectory, representation: str, *,
     else:
         discard_past(rundir, start.steps, start.rows)
         rows, last_t = start.rows, start.last_t
+    every = traj.config.snapshot_every
+    taken = [rec for rec in traj.records if every and rec.step % every == 0]
+    if taken and start is not None and taken[0].step in _snapshot_files(rundir).values():
+        taken = taken[1:]
     records = traj.records
     if records and records[0].t == last_t:
         records = records[1:]
     (append_series if rows else write_series)(rundir / SERIES, records)
-    every = traj.config.snapshot_every
-    taken = [rec for rec in records if every and rec.step % every == 0]
     if taken:
         save_snapshot(rundir / SNAPSHOT_DIR / _SNAPSHOT_NAME.format(taken[0].step,
                                                                     taken[-1].step),
                       [rec.state for rec in taken], [rec.step for rec in taken])
     rows += len(records)
-    save_checkpoint(rundir / CHECKPOINT, traj, representation, rows)
+    save_checkpoint(rundir / CHECKPOINT, traj, rows)
     if traj.termination is not None:
-        write_manifest(rundir / MANIFEST, traj, representation, rows,
+        write_manifest(rundir / MANIFEST, traj, rows,
                        [CONFIG, SERIES, CHECKPOINT, MANIFEST, *_snapshot_files(rundir)])
     return rows

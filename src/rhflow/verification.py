@@ -15,8 +15,8 @@ import numpy as np
 
 from . import analysis
 from .convergence import state_error
-from .flow import FlowConfig, Trajectory, run
-from .oracles import (SCENARIO_IDS, SCENARIOS, Scenario, default_scenario, exact_state,
+from .flow import Trajectory, run
+from .oracles import (SCENARIO_IDS, Scenario, default_scenario, exact_state, scenario_run,
                       singular_time)
 
 
@@ -56,9 +56,7 @@ class VerifyReport:
 
 def _run(scn: Scenario, **fields) -> Trajectory:
     """A run of scn with the given run fields, from its closed form at t = 0."""
-    cfg = FlowConfig(scenario=scn.id, n=scn.n, alpha=scn.alpha, fiber=SCENARIOS[scn.id].fiber,
-                     **fields)
-    return run(cfg, exact_state(scn, 0.0, cfg.m))
+    return run(*scenario_run(scn, **fields))
 
 
 # Scenario-specific checks.  Each takes (case, trajectories, add) and

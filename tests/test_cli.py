@@ -8,7 +8,6 @@ import rhflow.flow
 from rhflow import runio
 from rhflow.cli import main
 from rhflow.flow import run
-from rhflow.oracles import exact_state
 from rhflow.runio import (CheckpointError, ConfigError, load_config, load_snapshot,
                           parse_config, read_manifest, read_series)
 from rhflow.verification import run_verification
@@ -164,8 +163,10 @@ def test_params_are_typed_like_run_fields(tmp_path):
     FLAT_CONFIG.replace("snapshot_every: 20", "snapshot_every: 15"),
     FLAT_CONFIG + "c_cfl: 3.0\n",
     FLAT_CONFIG.replace("t_end: 0.1", "t_end: .nan"),
+    FLAT_CONFIG.replace("m: 16", "m: 4"),
 ], ids=["torus_list_n3", "unread_winding", "threshold_below_initial_rm",
-        "snapshots_off_the_record_cadence", "c_cfl_above_rk4_limit", "t_end_nan"])
+        "snapshots_off_the_record_cadence", "c_cfl_above_rk4_limit", "t_end_nan",
+        "grid_too_small"])
 def test_bad_scenario_input_exits_2_without_output(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
@@ -483,11 +484,12 @@ def test_converge_flat_reports_exact(capsys):
 
 def test_load_config_round_trip(tmp_path):
     cfg_path = write_config(tmp_path, CYLINDER_CONFIG)
-    config, scn, representation = load_config(cfg_path)
+    config, initial = load_config(cfg_path)
     assert config.scenario == "shrinking_cylinder"
     assert config.dt == pytest.approx(1e-3)
-    assert scn.psi0 == 1.0
-    assert representation == "warped"
+    assert config.params == {"psi0": 1.0}
+    assert runio.config_to_dict(config, initial)["representation"] == "warped"
+    assert initial.t == 0.0 and np.all(initial.psi == 1.0)
 
 
 def test_converge_reports_residual_order(tmp_path):
@@ -572,8 +574,8 @@ def test_snapshots_reload_bit_exactly(tmp_path, text, split):
     assert main(["run", str(cfg), "-o", str(part), "--max-steps", str(split)]) == 0
     assert main(["resume", str(part)]) == 0
 
-    config, scn, representation = load_config(cfg)
-    traj = run(config, exact_state(scn, 0.0, config.m, representation))
+    config, initial = load_config(cfg)
+    traj = run(config, initial)
     want = {rec.step: rec.state for rec in traj.records
             if rec.step % config.snapshot_every == 0}
     assert len(want) >= 5
@@ -596,16 +598,39 @@ def test_snapshots_reload_bit_exactly(tmp_path, text, split):
 
 def test_old_layout_snapshot_is_refused(tmp_path):
     # one state per file with a scalar step: the layout before per-leg files
-    config, scn, representation = load_config(write_config(tmp_path, PERTURBED_TORUS_CONFIG))
+    _, initial = load_config(write_config(tmp_path, PERTURBED_TORUS_CONFIG))
     path = tmp_path / "state_00000000.npz"
-    np.savez(path, step=0, **runio._state_arrays(exact_state(scn, 0.0, config.m,
-                                                             representation)))
+    np.savez(path, step=0, **runio._state_arrays(initial))
     with pytest.raises(CheckpointError, match="state_00000000.npz holds a single state "
                                               "in the old"):
         load_snapshot(path)
     path.write_bytes(b"not a snapshot")
     with pytest.raises(CheckpointError, match="cannot read snapshot"):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize("split, first, resumed, want", [
+    (150, 100, 50, [0, 100, 150, 200, 250, 300]),
+    (150, 50, 100, [0, 50, 100, 150, 200, 300]),
+    (200, 100, 50, [0, 100, 200, 250, 300]),
+], ids=["finer_owes_the_checkpoint_snapshot", "coarser", "finer_at_a_taken_step"])
+def test_resume_that_changes_snapshot_every_keeps_each_snapshot_once(tmp_path, split, first,
+                                                                     resumed, want):
+    # the resumed leg starts on the checkpoint's state: it takes that state's
+    # snapshot by the new cadence unless the first leg's file already ends at it
+    text = CYLINDER_CONFIG.replace("snapshot_every: 100", f"snapshot_every: {first}")
+    cfg = write_config(tmp_path, text)
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(["run", str(cfg), "-o", str(full)]) == 0
+    assert main(["run", str(cfg), "-o", str(part), "--max-steps", str(split)]) == 0
+    config = part / "config.yaml"
+    config.write_text(config.read_text().replace(f"snapshot_every: {first}",
+                                                 f"snapshot_every: {resumed}"))
+    assert main(["resume", str(part)]) == 0
+    assert (part / "series.jsonl").read_bytes() == (full / "series.jsonl").read_bytes()
+    assert sorted(snapshot_steps(part)) == want  # each step once
+    assert sorted(read_manifest(part / "manifest.json")["files"]) == sorted(
+        directory_bytes(part))
 
 
 def directory_bytes(rundir):

@@ -204,3 +204,10 @@ def test_state_interface(state):
     ones = np.ones_like(arrays[0])
     assert state.integrate(ones) == state.length_volume()[1]
     assert np.all(state.laplacian(ones) == 0.0)
+
+
+def test_laplacian_is_the_operator_of_lap_phi():
+    # with winding 0, phi = u: the monitors' Laplacian and the flow's Lap phi
+    # are one operator, bit for bit
+    state = smooth_state(winding=0)
+    assert np.array_equal(state.laplacian(state.u), compute_curvature(state).lap_phi)

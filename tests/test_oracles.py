@@ -5,8 +5,8 @@ from rhflow.flow import rhs, rhs_homogeneous
 from rhflow.geometry import WarpedState
 from rhflow.cli import build_parser
 from rhflow.oracles import (SCENARIO_IDS, SCENARIOS, Scenario, default_scenario,
-                            exact_state, singular_time)
-from rhflow.runio import ConfigError, parse_config
+                            exact_state, scenario_run, singular_time)
+from rhflow.runio import ConfigError, config_to_dict, parse_config
 from rhflow.verification import build_suite
 
 # five-point first-derivative stencil in time, error O(delta^4)
@@ -120,6 +120,21 @@ def test_scenario_validation():
 
 
 @pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_scenario_run_builds_config_and_state_from_the_registry(sid):
+    spec = SCENARIOS[sid]
+    scn = default_scenario(sid)
+    for representation in (None, *spec.representations):
+        cfg, state = scenario_run(scn, representation, m=16, t_end=0.1, output_every=5)
+        assert (cfg.scenario, cfg.n, cfg.alpha, cfg.fiber) == (sid, scn.n, scn.alpha,
+                                                               spec.fiber)
+        assert (cfg.m, cfg.t_end, cfg.output_every) == (16, 0.1, 5)
+        want = exact_state(scn, 0.0, 16, representation)
+        assert type(state) is type(want) and state.t == want.t == 0.0
+        assert all(got.tobytes() == array.tobytes()
+                   for got, array in zip(state.arrays(), want.arrays()))
+
+
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
 def test_registry_entry(sid):
     spec = SCENARIOS[sid]
     scn = default_scenario(sid)
@@ -129,8 +144,9 @@ def test_registry_entry(sid):
         fiber = state.fiber if isinstance(state, WarpedState) else state.factors[-1].kind
         assert fiber is spec.fiber
     raw = {"scenario": sid, "n": scn.n, "alpha": 1.0, "t_end": 0.1}
-    cfg, _, representation = parse_config(raw)
-    assert (cfg.fiber, representation) == (spec.fiber, spec.representations[0])
+    cfg, state = parse_config(raw)
+    assert cfg.fiber == spec.fiber
+    assert config_to_dict(cfg, state)["representation"] == spec.representations[0]
     for representation in {"warped", "homogeneous"} - set(spec.representations):
         with pytest.raises(ConfigError, match=f"no '{representation}' representation"):
             parse_config(dict(raw, representation=representation))
