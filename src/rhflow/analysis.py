@@ -89,8 +89,8 @@ class MonitorState:
     @classmethod
     def start(cls, state: State, fields: CurvatureFields, eps0: float = EPS0):
         ir, iw = curvature_power_integrals(state, fields)
-        return cls(min_s0=float(np.min(fields.s_scalar)),
-                   sup_r=float(np.max(fields.scalar)),
+        return cls(min_s0=float(fields.s_scalar.min()),
+                   sup_r=float(fields.scalar.max()),
                    acc_r=0.0, acc_w=0.0, prev_t=state.t,
                    prev_ir=ir, prev_iw=iw, eps0=eps0)
 
@@ -100,15 +100,15 @@ class MonitorState:
         ir, iw = curvature_power_integrals(state, fields)
         self.acc_r += 0.5 * (self.prev_ir + ir) * dt
         self.acc_w += 0.5 * (self.prev_iw + iw) * dt
-        self.sup_r = max(self.sup_r, float(np.max(fields.scalar)))
+        self.sup_r = max(self.sup_r, float(fields.scalar.max()))
         self.prev_t, self.prev_ir, self.prev_iw = state.t, ir, iw
 
 
 def curvature_power_integrals(state: State, fields: CurvatureFields) -> tuple[float, float]:
     """(int |R|^p dmu, int |W|^p dmu) with p = (n+2)/2."""
     p = (state.n + 2) / 2.0
-    return (state.integrate(np.abs(fields.scalar) ** p),
-            state.integrate(np.abs(fields.weyl_sq) ** (p / 2.0)))
+    integrate = state.integrator()
+    return integrate(np.abs(fields.scalar) ** p), integrate(np.abs(fields.weyl_sq) ** (p / 2.0))
 
 
 def make_monitor_record(state: State, fields: CurvatureFields,
@@ -116,18 +116,18 @@ def make_monitor_record(state: State, fields: CurvatureFields,
     alpha = state.alpha
     length, volume = state.length_volume()
     integrand = state.integrate(-fields.scalar + 0.5 * alpha * fields.grad_phi_sq)
-    max_grad = float(np.max(fields.grad_phi_sq))
+    max_grad = float(fields.grad_phi_sq.max())
     max_ric = fields.max_ric
     phi_min, phi_max = state.map_range()
     margin = mon.sup_r + mon.eps0 - mon.min_s0 - alpha * max_grad
     return MonitorRecord(
-        min_s=float(np.min(fields.s_scalar)),
-        max_s=float(np.max(fields.s_scalar)),
+        min_s=float(fields.s_scalar.min()),
+        max_s=float(fields.s_scalar.max()),
         max_grad_phi_sq=max_grad,
         max_ric=max_ric,
         max_rm=fields.max_rm,
-        rm_argmax=int(np.argmax(fields.rm_sq)),
-        max_abs_r=float(np.max(np.abs(fields.scalar))),
+        rm_argmax=int(fields.rm_sq.argmax()),
+        max_abs_r=float(np.abs(fields.scalar).max()),
         phi_min=phi_min,
         phi_max=phi_max,
         length=length,

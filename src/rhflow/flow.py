@@ -39,10 +39,10 @@ estimate monitor passing, and 3.0 breaks the minimum principle.
 Steps are first-same-as-last: the curvature fields of each accepted
 state, which the blow-up test and the monitors need anyway, give the
 next k1 through the derivative kernel that rhs uses, so k1 equals
-rhs(state) bit for bit.  The other three
-stages are bare arrays passed to rhs; a stage whose metric arrays are
-not positive rejects the step.  Only the accepted state is built, and
-validated, through state.evolved.
+rhs(state) bit for bit.  The other three stages are bare arrays passed
+to rhs; a stage whose metric arrays are not positive rejects the step.
+Only the accepted state is built and validated, once, by state.evolved;
+nothing mutates it afterwards, so the records share it without a copy.
 """
 from __future__ import annotations
 
@@ -60,6 +60,7 @@ from .geometry import (Fiber, HomogeneousState, State, WarpedState, curvature_fi
 _COUPLING_SIGN = 1.0
 
 _MAX_HALVINGS = 20
+_STEP_FLOOR = 1e-15  # a step dt <= _STEP_FLOOR * max(1, |t|) is never taken
 
 # RK4 is stable on [-z, 0] while |R(-z)| = |1 - z + z^2/2 - z^3/6 + z^4/24|
 # <= 1; R dips to 0.27 and returns to 1 at the real root of R(-z) = 1,
@@ -99,6 +100,8 @@ class FlowConfig:
             value = getattr(self, name)
             if value is not None and not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.dt is not None and self.dt <= _STEP_FLOOR:  # refused at every t
+            raise ValueError(f"dt must exceed the step floor {_STEP_FLOOR:g}, got {self.dt}")
         if not (0.0 <= self.eps0 < math.inf):
             raise ValueError(f"eps0 must be finite and >= 0, got {self.eps0}")
         if not (0.0 < self.c_cfl <= _RK4_REAL_LIMIT):
@@ -223,13 +226,12 @@ def _rk4(state: State, dt: float, k1=None) -> State:
 
 
 def _try_step(state: State, dt: float, k1=None):
-    """RK4 attempt; returns the new state, or None when rejected."""
-    with np.errstate(all="ignore"):
-        try:
-            new = _rk4(state, dt, k1)
-        except ValueError:
-            return None
-    return new if np.all(np.isfinite(new.arrays())) else None
+    """RK4 attempt under the caller's np.errstate: the new state, or None if rejected."""
+    try:
+        new = _rk4(state, dt, k1)
+    except ValueError:
+        return None
+    return new if np.isfinite(new.arrays()).all() else None
 
 
 def step(state: State, dt: float):
@@ -237,7 +239,8 @@ def step(state: State, dt: float):
     non-finite or loses positivity of the metric coefficients."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    new = _try_step(state, dt)
+    with np.errstate(all="ignore"):
+        new = _try_step(state, dt)
     if new is None:
         raise StepError(f"step of size {dt} rejected at t={state.t}")
     return new
@@ -248,9 +251,9 @@ def _dt_bound(state: State, config: FlowConfig, k1) -> float:
     and a relative-change rate limiter on the positive coefficients."""
     bounds = [np.inf if config.dt is None else config.dt]
     if isinstance(state, WarpedState):
-        bounds.append(config.c_cfl * float(np.min(state.f * state.h) ** 2))
+        bounds.append(config.c_cfl * float((state.f * state.h).min() ** 2))
     for values, rates in zip(state.arrays()[:state.positive], k1):
-        fastest = float(np.max(np.abs(rates) / values))
+        fastest = float((np.abs(rates) / values).max())
         if fastest > 0.0:
             bounds.append(config.rate_limit / fastest)
     return min(bounds)
@@ -262,18 +265,17 @@ def _advance(state: State, fields, config: FlowConfig):
     rejected, or a non-finite max|Rm| of the accepted state."""
     with np.errstate(all="ignore"):
         k1 = _k1_from_fields(state, fields)
-    if not np.all(np.isfinite(k1)):
-        return None
-    dt = min(_dt_bound(state, config, k1), config.t_end - state.t)
-    for _ in range(_MAX_HALVINGS + 1):
-        if dt <= 1e-15 * max(1.0, abs(state.t)):
+        if not np.isfinite(k1).all():
             return None
-        new_state = _try_step(state, dt, k1)
-        if new_state is not None:
-            with np.errstate(all="ignore"):
+        dt = min(_dt_bound(state, config, k1), config.t_end - state.t)
+        for _ in range(_MAX_HALVINGS + 1):
+            if dt <= _STEP_FLOOR * max(1.0, abs(state.t)):
+                return None
+            new_state = _try_step(state, dt, k1)
+            if new_state is not None:
                 new_fields = curvature_fields(new_state)
-            return (new_state, new_fields) if np.isfinite(new_fields.max_rm) else None
-        dt *= 0.5
+                return (new_state, new_fields) if math.isfinite(new_fields.max_rm) else None
+            dt *= 0.5
     return None
 
 
@@ -311,8 +313,7 @@ def run(config: FlowConfig, initial: State, *,
         monitor_state = MonitorState.start(state, fields, config.eps0)
 
     def record() -> FlowRecord:
-        return FlowRecord(state.copy(), make_monitor_record(state, fields, monitor_state),
-                          steps)
+        return FlowRecord(state, make_monitor_record(state, fields, monitor_state), steps)
 
     records: list[FlowRecord] = []
     steps = steps_done

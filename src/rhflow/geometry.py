@@ -32,8 +32,9 @@ flow and the monitors use (arrays, evolved, length_volume, integrate, ...).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -80,15 +81,15 @@ def dx_periodic(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def _check_finite(name: str, values: np.ndarray):
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"non-finite value in {name} at grid index {bad[0]}")
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise ValueError(f"non-finite value in {name} at grid index {bad}")
 
 
 def _check_positive(name: str, values: np.ndarray):
-    bad = np.flatnonzero(~(values > 0.0))
-    if bad.size:
-        raise ValueError(f"{name} must be positive; first violation at grid index {bad[0]}")
+    if not values.min() > 0.0:  # a nan minimum fails too
+        bad = np.flatnonzero(~(values > 0.0))[0]
+        raise ValueError(f"{name} must be positive; first violation at grid index {bad}")
 
 
 @dataclass
@@ -161,16 +162,18 @@ class WarpedState:
 
         by trapezoidal quadrature on the periodic grid (which is the plain
         Riemann sum there)."""
-        h = self.h
-        length = h * float(np.sum(self.f))
-        vol = fiber_volume(self.n - 1, self.fiber) * h * float(
-            np.sum(self.f * self.psi ** (self.n - 1)))
-        return length, vol
+        return self.h * float(self.f.sum()), self.integrate(1.0)
 
     def integrate(self, values: np.ndarray) -> float:
         """int values dmu over the manifold."""
-        return fiber_volume(self.n - 1, self.fiber) * self.h * float(
-            np.sum(values * self.f * self.psi ** (self.n - 1)))
+        return self.integrator()(values)
+
+    def integrator(self):
+        """integrate, with fiber_volume * h and psi^{n-1} taken once from the arrays
+        as they are now: for several fields of one state, not past an in-place edit."""
+        scale = fiber_volume(self.n - 1, self.fiber) * self.h
+        f, weight = self.f, self.psi ** (self.n - 1)
+        return lambda values: scale * float((values * f * weight).sum())
 
     def metric_logs(self) -> np.ndarray:
         """Log of the metric coefficients in the two coordinate directions,
@@ -179,7 +182,7 @@ class WarpedState:
 
     def map_range(self) -> tuple[float, float]:
         """(min, max) of the periodic part u of phi."""
-        return float(np.min(self.u)), float(np.max(self.u))
+        return float(self.u.min()), float(self.u.max())
 
     @property
     def map_single_valued(self) -> bool:
@@ -272,7 +275,12 @@ class HomogeneousState:
 
     def integrate(self, values: np.ndarray) -> float:
         """int values dmu of a constant (length-1) field."""
-        return float(values[0]) * self.length_volume()[1]
+        return self.integrator()(values)
+
+    def integrator(self):
+        """integrate, with the volume taken once."""
+        vol = self.length_volume()[1]
+        return lambda values: float(values[0]) * vol
 
     def metric_logs(self) -> np.ndarray:
         """Log of the per-factor coefficients."""
@@ -303,6 +311,7 @@ class CurvatureFields:
     coupling.  s_flow and flow_tensor_sq are the trace and squared norm
     of the tensor driving the metric flow, R_ij - (alpha/2) phi_i phi_j,
     which is the pair entering the evolution identity (see analysis).
+    max_rm = max sqrt(rm_sq) over the grid is taken once, at construction.
     """
 
     k_rad: np.ndarray
@@ -317,15 +326,14 @@ class CurvatureFields:
     s_flow: np.ndarray
     flow_tensor_sq: np.ndarray
     ric_op: np.ndarray
+    max_rm: float = field(init=False)
 
-    @property
-    def max_rm(self) -> float:
-        """max |Rm| = max sqrt(rm_sq) over the grid."""
-        return float(np.sqrt(np.max(self.rm_sq)))
+    def __post_init__(self):
+        self.max_rm = math.sqrt(self.rm_sq.max())
 
     @property
     def max_ric(self) -> float:
-        return float(np.max(self.ric_op))
+        return float(self.ric_op.max())
 
 
 def _weyl_sq(n: int, rm_sq, ric_sq, scalar_sq):
@@ -456,6 +464,7 @@ def ball_volume_constant(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+@cache
 def fiber_volume(dim: int, kind: Fiber) -> float:
     """Volume of the unit model fiber: round S^dim or flat torus (2*pi)^dim."""
     if Fiber(kind) is Fiber.ROUND_SPHERE:

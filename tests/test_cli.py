@@ -164,9 +164,10 @@ def test_params_are_typed_like_run_fields(tmp_path):
     FLAT_CONFIG + "c_cfl: 3.0\n",
     FLAT_CONFIG.replace("t_end: 0.1", "t_end: .nan"),
     FLAT_CONFIG.replace("m: 16", "m: 4"),
+    CYLINDER_CONFIG.replace("dt: 1.0e-3", "dt: 1.0e-16"),
 ], ids=["torus_list_n3", "unread_winding", "threshold_below_initial_rm",
         "snapshots_off_the_record_cadence", "c_cfl_above_rk4_limit", "t_end_nan",
-        "grid_too_small"])
+        "grid_too_small", "dt_below_step_floor"])
 def test_bad_scenario_input_exits_2_without_output(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"

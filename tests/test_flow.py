@@ -261,6 +261,12 @@ def test_config_validation():
         assert FlowConfig(c_cfl=c_cfl).c_cfl == c_cfl
     with pytest.raises(ValueError):
         FlowConfig(dt=0.0)
+    # the step floor 1e-15 * max(1, |t|) refuses these at every t, so the
+    # run would end nonfinite at its first step
+    for dt in (1e-16, 1e-15):
+        with pytest.raises(ValueError, match="dt must exceed the step floor"):
+            FlowConfig(dt=dt)
+    assert FlowConfig(dt=2e-15).dt == 2e-15
     with pytest.raises(ValueError):
         FlowConfig(output_every=0)
     assert FlowConfig(eps0=0.0).eps0 == 0.0
@@ -402,3 +408,49 @@ def test_stage_losing_positivity_halves_the_step(monkeypatch):
     assert traj.records[1].t == 0.15
     assert traj.records[1].state.psi[0] ** 2 == pytest.approx(1.0 - 4 * 0.15, rel=1e-2)
     assert traj.final_t == pytest.approx(0.25, rel=1e-2)
+
+
+def _neck_run(m=64, t_end=0.3, **fields):
+    scn = default_scenario("perturbed_cylinder")
+    cfg = FlowConfig(scenario=scn.id, n=4, alpha=1.0, m=m, t_end=t_end, **fields)
+    return cfg, exact_state(scn, 0.0, m)
+
+
+def test_one_validation_per_accepted_step(monkeypatch):
+    # each accepted state is validated once, by evolved; the records share
+    # it, so the only other WarpedState run builds is the initial copy
+    cfg, initial = _neck_run(output_every=1)
+    calls = []
+    post_init = WarpedState.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(WarpedState, "__post_init__", counting)
+    traj = run(cfg, initial)
+    assert traj.termination == "blowup_threshold"
+    assert len(traj.records) == traj.steps + 1
+    assert len(calls) == traj.steps + 1
+
+
+def test_records_are_distinct_states_and_initial_is_untouched():
+    cfg, initial = _neck_run(m=32, t_end=0.2, output_every=1)
+    before = [a.copy() for a in initial.arrays()]
+    traj = run(cfg, initial)
+    assert initial.t == 0.0
+    for a, b in zip(initial.arrays(), before):
+        assert a.tobytes() == b.tobytes()
+    arrays = [rec.state.arrays() for rec in traj.records]
+    owners = [initial.arrays()] + arrays
+    assert len(owners) > 10
+    for i, first in enumerate(owners):
+        for second in owners[i + 1:]:
+            assert not any(np.shares_memory(a, b) for a in first for b in second)
+    # an in-place edit of one record reaches no other record
+    saved = [[a.copy() for a in arrs] for arrs in arrays]
+    k = len(arrays) // 2
+    traj.records[k].state.psi[:] = 2.0
+    for j, arrs in enumerate(arrays):
+        if j != k:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(arrs, saved[j]))

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState,
-                             compute_curvature, compute_curvature_homogeneous, scale_state)
+                             compute_curvature, compute_curvature_homogeneous,
+                             curvature_fields, scale_state)
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,6 +109,20 @@ def test_nonfinite_input_names_grid_index():
     state.u[5] = np.nan
     with pytest.raises(ValueError, match="index 5"):
         compute_curvature(state)
+    # the first and last grid points, edited after validation
+    m = state.m
+    for index in (0, m - 1):
+        state = flat_state()
+        state.psi[index] = np.nan
+        with pytest.raises(ValueError, match=f"^non-finite value in psi at grid index {index}$"):
+            compute_curvature(state)
+    # +inf is positive, so the state accepts it and the curvature refuses it
+    for index in (0, 7, m - 1):
+        f = np.ones(m)
+        f[index] = np.inf
+        state = WarpedState(4, Fiber.FLAT_TORUS, 1.0, f, np.ones(m))
+        with pytest.raises(ValueError, match=f"^non-finite value in f at grid index {index}$"):
+            compute_curvature(state)
 
 
 def test_state_validation():
@@ -116,6 +131,12 @@ def test_state_validation():
         f = np.ones(m)
         f[3] = -1.0
         WarpedState(4, Fiber.FLAT_TORUS, 0.0, f, np.ones(m))
+    for index in (0, m - 1):
+        psi = np.ones(m)
+        psi[index] = np.nan
+        with pytest.raises(ValueError,
+                           match=f"^psi must be positive; first violation at grid index {index}$"):
+            WarpedState(4, Fiber.FLAT_TORUS, 0.0, np.ones(m), psi)
     with pytest.raises(ValueError):
         WarpedState(1, Fiber.FLAT_TORUS, 0.0, np.ones(m), np.ones(m))
     with pytest.raises(ValueError):
@@ -211,3 +232,15 @@ def test_laplacian_is_the_operator_of_lap_phi():
     # are one operator, bit for bit
     state = smooth_state(winding=0)
     assert np.array_equal(state.laplacian(state.u), compute_curvature(state).lap_phi)
+
+
+@pytest.mark.parametrize("state", [
+    smooth_state(),
+    HomogeneousState(4, 0.0, (Factor(1.0, Fiber.FLAT_TORUS, 1),
+                              Factor(0.7, Fiber.ROUND_SPHERE, 3))),
+], ids=["warped", "homogeneous"])
+def test_stored_max_rm_is_the_root_of_max_rm_sq(state):
+    fields = curvature_fields(state)
+    want = float(np.sqrt(np.max(fields.rm_sq)))
+    assert vars(fields)["max_rm"] > 0.0
+    assert np.float64(fields.max_rm).tobytes() == np.float64(want).tobytes()
