@@ -77,7 +77,8 @@ def cmd_verify(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         payload = {"version": __version__,
                    "all_passed": report.all_passed,
-                   "rows": [asdict(row) for row in report.rows]}
+                   "rows": [asdict(row) for row in report.rows],
+                   "case_seconds": report.case_seconds}
         (outdir / "verify_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     return 0 if report.all_passed else 1
 

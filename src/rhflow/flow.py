@@ -18,11 +18,15 @@ round S^d factors shrink at da/dt = -2(d-1), flat circle factors with
 map slope w grow at da/dt = alpha w^2.
 
 Integration is one classical four-stage Runge-Kutta for both kinds of
-state, over the state's arrays() (f, psi, u or the coefficients), with
-the parabolic step bound dt <= c_cfl * min(f h)^2 on warped grids, a
-relative-change rate limiter for the approach to blow-up, and a
-halve-and-retry policy on steps that produce non-finite values or lose
-positivity of the metric arrays.
+state, over the state's arrays(): one C-contiguous block, the (3, m)
+rows f, psi, u or the (1, k) coefficients.  rhs returns a rate block of
+the same shape, so each stage, its positivity test, the final
+combination, the finiteness test and the rate limiter are one array
+operation each, whatever the number of rows.  Steps obey the parabolic
+bound dt <= c_cfl * min(f h)^2 on warped grids and a relative-change
+rate limiter for the approach to blow-up, under a halve-and-retry
+policy on steps that produce non-finite values or lose positivity of
+the metric rows.
 
 The parabolic bound comes from the scheme.  The second s-derivatives
 (psi_ss, phi_ss) are the nested central difference (1/f) Dx((1/f) Dx),
@@ -39,8 +43,8 @@ estimate monitor passing, and 3.0 breaks the minimum principle.
 Steps are first-same-as-last: the curvature fields of each accepted
 state, which the blow-up test and the monitors need anyway, give the
 next k1 through the derivative kernel that rhs uses, so k1 equals
-rhs(state) bit for bit.  The other three stages are bare arrays passed
-to rhs; a stage whose metric arrays are not positive rejects the step.
+rhs(state) bit for bit.  The other three stages are bare blocks passed
+to rhs; a stage whose metric rows are not positive rejects the step.
 Only the accepted state is built and validated, once, by state.evolved;
 nothing mutates it afterwards, so the records share it without a copy.
 """
@@ -163,23 +167,24 @@ class Trajectory:
 
 
 def _warped_rates(state: WarpedState, f, psi, k_rad, k_fib, grad_phi_sq, lap_phi):
-    """(df/dt, dpsi/dt, du/dt) = (-f (lam0 - (alpha/2)|grad phi|^2),
-    -psi lam1, Lap phi) from the derivative kernel's terms."""
+    """The (3, m) rate block with rows df/dt = -f (lam0 - (alpha/2)|grad phi|^2),
+    dpsi/dt = -psi lam1 and du/dt = Lap phi, from the derivative kernel's terms."""
     n = state.n
     lam0 = (n - 1) * k_rad
     lam1 = k_rad + (n - 2) * k_fib
-    return (-f * (lam0 - _COUPLING_SIGN * 0.5 * state.alpha * grad_phi_sq),
-            -psi * lam1, lap_phi)
+    return np.array((-f * (lam0 - _COUPLING_SIGN * 0.5 * state.alpha * grad_phi_sq),
+                     -psi * lam1, lap_phi))
 
 
-def rhs(state: State, y=None) -> tuple[np.ndarray, ...]:
-    """Time derivatives of state.arrays(), or of RK stage arrays y in
-    their place with the state's grid and parameters: (df/dt, dpsi/dt,
-    du/dt) for a warped state, (rhs_homogeneous(state),) for a
-    homogeneous one, whose rates do not depend on the coefficients."""
+def rhs(state: State, y=None) -> np.ndarray:
+    """Time derivatives of the block state.arrays(), or of an RK stage block
+    y in its place with the state's grid and parameters: the (3, m) block
+    (df/dt, dpsi/dt, du/dt) for a warped state, the (1, k) block
+    rhs_homogeneous(state) for a homogeneous one, whose rates do not depend
+    on the coefficients."""
     if not isinstance(state, WarpedState):
-        return (rhs_homogeneous(state),)
-    f, psi, u = state.arrays() if y is None else y
+        return rhs_homogeneous(state)[np.newaxis]
+    f, psi, u = state.y if y is None else y
     terms = warped_terms(state.n, state.fiber.curvature, state.h, f, psi, u, state.winding)
     return _warped_rates(state, f, psi, *terms)
 
@@ -189,7 +194,7 @@ def _k1_from_fields(state: State, fields):
     if isinstance(state, WarpedState):
         return _warped_rates(state, state.f, state.psi, fields.k_rad, fields.k_fib,
                              fields.grad_phi_sq, fields.lap_phi)
-    return (rhs_homogeneous(state),)
+    return rhs_homogeneous(state)[np.newaxis]
 
 
 def rhs_homogeneous(state: HomogeneousState) -> np.ndarray:
@@ -210,19 +215,19 @@ def rhs_homogeneous(state: HomogeneousState) -> np.ndarray:
 
 
 def _rk4(state: State, dt: float, k1=None) -> State:
-    # Stages are bare arrays, checked only for positivity of the leading
-    # state.positive arrays (a NaN fails it too; an infinite value makes
-    # the result non-finite).  A failing stage and a result that evolved()
+    # Stages are bare blocks, checked only for positivity of the leading
+    # state.positive rows (a NaN fails it too; an infinite value makes the
+    # result non-finite).  A failing stage and a result that evolved()
     # rejects both raise ValueError, which callers treat as step rejection.
     y0 = state.arrays()
     ks = [rhs(state) if k1 is None else k1]
     for c in (0.5, 0.5, 1.0):
-        y = tuple(a + c * dt * k for a, k in zip(y0, ks[-1]))
-        if not all(a.min() > 0.0 for a in y[:state.positive]):
+        y = y0 + c * dt * ks[-1]
+        if not y[:state.positive].min() > 0.0:
             raise ValueError("an RK stage lost positivity of the metric")
         ks.append(rhs(state, y))
-    return state.evolved([a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                          for a, k1, k2, k3, k4 in zip(y0, *ks)], state.t + dt)
+    k1, k2, k3, k4 = ks
+    return state.evolved(y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), state.t + dt)
 
 
 def _try_step(state: State, dt: float, k1=None):
@@ -252,10 +257,12 @@ def _dt_bound(state: State, config: FlowConfig, k1) -> float:
     bounds = [np.inf if config.dt is None else config.dt]
     if isinstance(state, WarpedState):
         bounds.append(config.c_cfl * float((state.f * state.h).min() ** 2))
-    for values, rates in zip(state.arrays()[:state.positive], k1):
-        fastest = float((np.abs(rates) / values).max())
-        if fastest > 0.0:
-            bounds.append(config.rate_limit / fastest)
+    # rate_limit / max equals the least per-row bound rate_limit / row max
+    # exactly: correctly rounded division is monotone in the divisor
+    rows = slice(state.positive)
+    fastest = float((np.abs(k1[rows]) / state.arrays()[rows]).max())
+    if fastest > 0.0:
+        bounds.append(config.rate_limit / fastest)
     return min(bounds)
 
 

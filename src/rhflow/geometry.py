@@ -72,23 +72,48 @@ class Grid:
         return np.arange(self.m) * self.h
 
 
+# Up to this length dx_periodic gathers the periodically extended values
+# through a cached index array, in one call; beyond it the gather costs
+# more than the slicing form's scalar edge updates.  Both forms take the
+# same values to the same subtraction and division, so they agree bit
+# for bit.
+_GATHER_MAX_M = 256
+
+
+@cache
+def _periodic_extension(m: int) -> np.ndarray:
+    """Indices m-1, 0, 1, ..., m-1, 0: the grid with one neighbour added at each end."""
+    return np.arange(-1, m + 1) % m
+
+
 def dx_periodic(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order central difference d/dx on the periodic grid."""
-    out = np.empty(np.shape(values))
+    """Second-order central difference d/dx on the periodic grid,
+    (v[i+1] - v[i-1]) / (2h) with indices taken mod m."""
+    m = len(values)
+    if m <= _GATHER_MAX_M:
+        extended = values[_periodic_extension(m)]
+        return (extended[2:] - extended[:-2]) / (2.0 * h)
+    out = np.empty(values.shape)
     np.subtract(values[2:], values[:-2], out=out[1:-1])
     out[0], out[-1] = values[1] - values[-1], values[0] - values[-2]
     return np.divide(out, 2.0 * h, out=out)
 
 
-def _check_finite(name: str, values: np.ndarray):
-    if not np.isfinite(values).all():
-        bad = np.flatnonzero(~np.isfinite(values))[0]
+def _first_failure(names: tuple[str, ...], ok: np.ndarray) -> tuple[str, int]:
+    """(row name, grid index) of the first False entry of a (rows, m) mask."""
+    row, index = divmod(int(np.flatnonzero(~ok)[0]), ok.shape[1])
+    return names[row], index
+
+
+def _check_finite(names: tuple[str, ...], y: np.ndarray):
+    if not np.isfinite(y).all():
+        name, bad = _first_failure(names, np.isfinite(y))
         raise ValueError(f"non-finite value in {name} at grid index {bad}")
 
 
-def _check_positive(name: str, values: np.ndarray):
-    if not values.min() > 0.0:  # a nan minimum fails too
-        bad = np.flatnonzero(~(values > 0.0))[0]
+def _check_positive(names: tuple[str, ...], y: np.ndarray):
+    if not y.min() > 0.0:  # a nan minimum fails too
+        name, bad = _first_failure(names, y > 0.0)
         raise ValueError(f"{name} must be positive; first violation at grid index {bad}")
 
 
@@ -97,16 +122,23 @@ class WarpedState:
     """Metric coefficients and map data of a warped state at one time.
 
     f, psi, u are arrays over the periodic grid; phi(x) = winding*x + u(x).
+    They are the rows of one C-contiguous (3, m) block y, so an in-place
+    edit of any of them is an edit of y.  A state built from f and psi
+    (u defaults to zeros) stacks them into a new block; one built with
+    y= instead adopts that block as it is.
     """
 
     n: int
     fiber: Fiber
     alpha: float
-    f: np.ndarray
-    psi: np.ndarray
+    f: np.ndarray | None = None
+    psi: np.ndarray | None = None
     winding: int = 0
     u: np.ndarray | None = None
     t: float = 0.0
+    y: np.ndarray | None = field(default=None, kw_only=True, repr=False)
+
+    ROWS = ("f", "psi", "u")
 
     def __post_init__(self):
         if self.n < 2:
@@ -114,16 +146,18 @@ class WarpedState:
         if self.alpha < 0.0:
             raise ValueError(f"coupling alpha must be >= 0, got {self.alpha}")
         self.fiber = Fiber(self.fiber)
-        self.f = np.asarray(self.f, dtype=float)
-        self.psi = np.asarray(self.psi, dtype=float)
-        if self.u is None:
-            self.u = np.zeros_like(self.f)
-        self.u = np.asarray(self.u, dtype=float)
-        if not (self.f.shape == self.psi.shape == self.u.shape) or self.f.ndim != 1:
+        if self.y is None:
+            u = np.zeros(np.shape(self.f)) if self.u is None else self.u
+            rows = [np.asarray(a, dtype=float) for a in (self.f, self.psi, u)]
+            if any(a.ndim != 1 or a.shape != rows[0].shape for a in rows):
+                raise ValueError("f, psi, u must be 1-d arrays of a common length")
+            self.y = np.array(rows)
+        y = self.y = np.ascontiguousarray(self.y, dtype=float)
+        if y.ndim != 2 or y.shape[0] != 3:
             raise ValueError("f, psi, u must be 1-d arrays of a common length")
-        Grid(self.f.size)  # enforces m >= 8
-        _check_positive("f", self.f)
-        _check_positive("psi", self.psi)
+        Grid(y.shape[1])  # enforces m >= 8
+        _check_positive(self.ROWS, y[:self.positive])
+        self.f, self.psi, self.u = y
         self.winding = int(self.winding)
 
     @property
@@ -135,8 +169,7 @@ class WarpedState:
         return TWO_PI / self.m
 
     def copy(self) -> "WarpedState":
-        return WarpedState(self.n, self.fiber, self.alpha, self.f.copy(),
-                           self.psi.copy(), self.winding, self.u.copy(), self.t)
+        return self.evolved(self.y.copy(), self.t)
 
     def phi_x(self) -> np.ndarray:
         """Coordinate derivative of phi = winding*x + u."""
@@ -144,16 +177,15 @@ class WarpedState:
 
     # -- the state interface shared with HomogeneousState --------------------
 
-    positive = 2  # leading arrays() entries that must stay positive (f, psi)
+    positive = 2  # leading arrays() rows that must stay positive (f, psi)
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """The evolving data (f, psi, u)."""
-        return self.f, self.psi, self.u
+    def arrays(self) -> np.ndarray:
+        """The evolving data: the (3, m) block with rows f, psi, u."""
+        return self.y
 
-    def evolved(self, arrays, t: float) -> "WarpedState":
-        """A validated state with the given arrays() at time t."""
-        f, psi, u = arrays
-        return WarpedState(self.n, self.fiber, self.alpha, f, psi, self.winding, u, t)
+    def evolved(self, y: np.ndarray, t: float) -> "WarpedState":
+        """A validated state that adopts the block y as its arrays() at time t."""
+        return WarpedState(self.n, self.fiber, self.alpha, winding=self.winding, t=t, y=y)
 
     def length_volume(self) -> tuple[float, float]:
         """Arc length of the base circle and total volume,
@@ -178,7 +210,7 @@ class WarpedState:
     def metric_logs(self) -> np.ndarray:
         """Log of the metric coefficients in the two coordinate directions,
         g_xx = f^2 and the fiber coefficient psi^2, concatenated."""
-        return np.concatenate([np.log(self.f**2), np.log(self.psi**2)])
+        return np.log(self.y[:2] ** 2).ravel()
 
     def map_range(self) -> tuple[float, float]:
         """(min, max) of the periodic part u of phi."""
@@ -256,13 +288,13 @@ class HomogeneousState:
 
     positive = 1  # the coefficients must stay positive
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """The evolving data: the factor coefficients."""
-        return (self.coefficients(),)
+    def arrays(self) -> np.ndarray:
+        """The evolving data: a (1, k) block of the factor coefficients."""
+        return self.coefficients()[np.newaxis]
 
-    def evolved(self, arrays, t: float) -> "HomogeneousState":
-        """A validated state with the given arrays() at time t."""
-        factors = tuple(replace(fac, coeff=float(a)) for fac, a in zip(self.factors, arrays[0]))
+    def evolved(self, y: np.ndarray, t: float) -> "HomogeneousState":
+        """A validated state with the (1, k) block y as its arrays() at time t."""
+        factors = tuple(replace(fac, coeff=float(a)) for fac, a in zip(self.factors, y[0]))
         return HomogeneousState(self.n, self.alpha, factors, t)
 
     def length_volume(self) -> tuple[float, float]:
@@ -363,8 +395,7 @@ def warped_terms(n: int, c: float, h: float, f, psi, u, winding: int):
 
 def compute_curvature(state: WarpedState) -> CurvatureFields:
     """All curvature/coupling fields of a warped state, in closed form."""
-    for name, arr in (("f", state.f), ("psi", state.psi), ("u", state.u)):
-        _check_finite(name, arr)
+    _check_finite(state.ROWS, state.y)
     n = state.n
     alpha = state.alpha
     k_rad, k_fib, grad_phi_sq, lap_phi = warped_terms(
@@ -447,11 +478,11 @@ def scale_state(state: State, q: float):
     phi and the flow time are left untouched."""
     if q <= 0.0:
         raise ValueError(f"scale factor must be positive, got {q}")
-    root = math.sqrt(q)
     if isinstance(state, WarpedState):
-        return WarpedState(state.n, state.fiber, state.alpha, root * state.f,
-                           root * state.psi, state.winding, state.u.copy(), state.t)
-    return state.evolved((q * state.coefficients(),), state.t)
+        y = state.y.copy()
+        y[:2] *= math.sqrt(q)
+        return state.evolved(y, state.t)
+    return state.evolved(q * state.arrays(), state.t)
 
 
 def sphere_area(d: int) -> float:

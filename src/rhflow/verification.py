@@ -9,7 +9,8 @@ records, the tolerances, and the checks only that scenario gets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +49,7 @@ class SuiteCase:
 class VerifyReport:
     rows: list[CheckRow]
     trajectories: dict
+    case_seconds: dict[str, float] = field(default_factory=dict)  # wall s per scenario id
 
     @property
     def all_passed(self) -> bool:
@@ -220,16 +222,17 @@ def run_verification(ids=None) -> VerifyReport:
     suite = build_suite()
     if ids is None:
         ids = list(suite)
-    rows: list[CheckRow] = []
-    trajectories: dict = {}
+    report = VerifyReport([], {})
     for sid in ids:
         if sid not in suite:
             raise ValueError(f"unknown scenario {sid!r}; expected one of {sorted(suite)}")
+        start = time.perf_counter()
         case_rows, trajs = evaluate_case(suite[sid])
-        rows.extend(case_rows)
+        report.case_seconds[sid] = time.perf_counter() - start
+        report.rows.extend(case_rows)
         for name, traj in trajs.items():
-            trajectories[(sid, name)] = traj
-    return VerifyReport(rows, trajectories)
+            report.trajectories[(sid, name)] = traj
+    return report
 
 
 def format_report(report: VerifyReport) -> str:

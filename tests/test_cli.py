@@ -449,6 +449,10 @@ def test_verify_subset(tmp_path):
     payload = json.loads((out / "verify_report.json").read_text())
     assert payload["all_passed"]
     assert all(row["scenario"] == "torus_list" for row in payload["rows"])
+    # wall seconds per case, kept out of the deterministic rows
+    assert set(payload["case_seconds"]) == {"torus_list"}
+    assert payload["case_seconds"]["torus_list"] > 0.0
+    assert all("seconds" not in key for row in payload["rows"] for key in row)
 
 
 def test_verify_empty_scenario_set():
