@@ -72,14 +72,6 @@ class Grid:
         return np.arange(self.m) * self.h
 
 
-# Up to this length dx_periodic gathers the periodically extended values
-# through a cached index array, in one call; beyond it the gather costs
-# more than the slicing form's scalar edge updates.  Both forms take the
-# same values to the same subtraction and division, so they agree bit
-# for bit.
-_GATHER_MAX_M = 256
-
-
 @cache
 def _periodic_extension(m: int) -> np.ndarray:
     """Indices m-1, 0, 1, ..., m-1, 0: the grid with one neighbour added at each end."""
@@ -89,14 +81,8 @@ def _periodic_extension(m: int) -> np.ndarray:
 def dx_periodic(values: np.ndarray, h: float) -> np.ndarray:
     """Second-order central difference d/dx on the periodic grid,
     (v[i+1] - v[i-1]) / (2h) with indices taken mod m."""
-    m = len(values)
-    if m <= _GATHER_MAX_M:
-        extended = values[_periodic_extension(m)]
-        return (extended[2:] - extended[:-2]) / (2.0 * h)
-    out = np.empty(values.shape)
-    np.subtract(values[2:], values[:-2], out=out[1:-1])
-    out[0], out[-1] = values[1] - values[-1], values[0] - values[-2]
-    return np.divide(out, 2.0 * h, out=out)
+    extended = values[_periodic_extension(len(values))]
+    return (extended[2:] - extended[:-2]) / (2.0 * h)
 
 
 def _first_failure(names: tuple[str, ...], ok: np.ndarray) -> tuple[str, int]:
@@ -117,15 +103,18 @@ def _check_positive(names: tuple[str, ...], y: np.ndarray):
         raise ValueError(f"{name} must be positive; first violation at grid index {bad}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WarpedState:
     """Metric coefficients and map data of a warped state at one time.
 
     f, psi, u are arrays over the periodic grid; phi(x) = winding*x + u(x).
-    They are the rows of one C-contiguous (3, m) block y, so an in-place
-    edit of any of them is an edit of y.  A state built from f and psi
-    (u defaults to zeros) stacks them into a new block; one built with
-    y= instead adopts that block as it is.
+    The one owner of the data is the C-contiguous (3, m) block y: f, psi
+    and u are its rows, so an in-place edit of any of them is an edit of
+    y.  A state is built either from f and psi (u defaults to zeros),
+    stacked into a new block, or from y= alone, adopted as it is; giving
+    both raises.  The state is frozen, so neither a rebinding nor
+    dataclasses.replace can leave the rows and the block apart: build a
+    new state with evolved() instead.
     """
 
     n: int
@@ -145,20 +134,31 @@ class WarpedState:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
         if self.alpha < 0.0:
             raise ValueError(f"coupling alpha must be >= 0, got {self.alpha}")
-        self.fiber = Fiber(self.fiber)
-        if self.y is None:
+        fiber = Fiber(self.fiber)
+        y = self.y
+        if y is None:
             u = np.zeros(np.shape(self.f)) if self.u is None else self.u
             rows = [np.asarray(a, dtype=float) for a in (self.f, self.psi, u)]
             if any(a.ndim != 1 or a.shape != rows[0].shape for a in rows):
                 raise ValueError("f, psi, u must be 1-d arrays of a common length")
-            self.y = np.array(rows)
-        y = self.y = np.ascontiguousarray(self.y, dtype=float)
+            y = np.array(rows)
+        elif not (self.f is None and self.psi is None and self.u is None):
+            raise ValueError("give either f, psi, u or the block y, not both")
+        y = np.ascontiguousarray(y, dtype=float)
         if y.ndim != 2 or y.shape[0] != 3:
             raise ValueError("f, psi, u must be 1-d arrays of a common length")
         Grid(y.shape[1])  # enforces m >= 8
         _check_positive(self.ROWS, y[:self.positive])
-        self.f, self.psi, self.u = y
-        self.winding = int(self.winding)
+        vars(self).update(fiber=fiber, winding=int(self.winding),
+                          y=y, f=y[0], psi=y[1], u=y[2])
+
+    # copy and pickle carry the block alone and take the rows from it again
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k not in self.ROWS}
+
+    def __setstate__(self, state):
+        y = state["y"]
+        vars(self).update(state, f=y[0], psi=y[1], u=y[2])
 
     @property
     def m(self) -> int:

@@ -2,6 +2,10 @@
 replaced: dx_periodic against np.roll, one RK4 step against an RK4 over
 a tuple of separate arrays, and the rate limiter against the minimum of
 its per-row bounds."""
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -133,3 +137,18 @@ def test_state_from_rows_or_block():
     y[1, 7] = 0.0
     with pytest.raises(ValueError, match="^psi must be positive; first violation at grid index 7$"):
         WarpedState(4, Fiber.FLAT_TORUS, 0.0, y=y)
+
+
+def test_block_is_the_one_owner_of_the_data():
+    state = warped(m=16)
+    with pytest.raises(ValueError, match="not both"):
+        WarpedState(4, Fiber.FLAT_TORUS, 0.0, psi=np.ones(16), y=state.y.copy())
+    for name in ("y", "f", "psi", "u"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, np.ones_like(getattr(state, name)))
+    with pytest.raises(ValueError, match="not both"):
+        dataclasses.replace(state, psi=np.ones(16))
+    for other in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert other.y.tobytes() == state.y.tobytes() and other.t == state.t
+        other.psi[3] = 5.0
+        assert other.arrays()[1, 3] == 5.0 and state.psi[3] != 5.0
