@@ -114,8 +114,9 @@ def curvature_power_integrals(state: State, fields: CurvatureFields) -> tuple[fl
 def make_monitor_record(state: State, fields: CurvatureFields,
                         mon: MonitorState) -> MonitorRecord:
     alpha = state.alpha
-    length, volume = state.length_volume()
-    integrand = state.integrate(-fields.scalar + 0.5 * alpha * fields.grad_phi_sq)
+    integrate = state.integrator()
+    length, volume = state.length_volume(integrate)
+    integrand = integrate(-fields.scalar + 0.5 * alpha * fields.grad_phi_sq)
     max_grad = float(fields.grad_phi_sq.max())
     max_ric = fields.max_ric
     phi_min, phi_max = state.map_range()

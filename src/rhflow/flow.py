@@ -41,10 +41,14 @@ every c_cfl up to the limit reaches the same blow-up time with every
 estimate monitor passing, and 3.0 breaks the minimum principle.
 
 Steps are first-same-as-last: the curvature fields of each accepted
-state, which the blow-up test and the monitors need anyway, give the
-next k1 through the derivative kernel that rhs uses, so k1 equals
-rhs(state) bit for bit.  The other three stages are bare blocks passed
-to rhs; a stage whose metric rows are not positive rejects the step.
+state, which the blow-up test and the monitors need anyway, hold the
+Ricci eigenvalues lam0, lam1, |grad phi|^2 and Lap phi that the bound
+derivative kernel (geometry.warped_kernel) formed for them, and the next
+k1 is written from those into a new rate block with the same operations
+rhs applies to the kernel's terms, so k1 equals rhs(state) bit for bit.
+_COUPLING_SIGN is read on each call, by both.  The other three stages
+are bare blocks passed to rhs; a stage whose metric rows are not
+positive rejects the step.
 Only the accepted state is built and validated, once, by state.evolved;
 nothing mutates it afterwards, so the records share it without a copy.
 """
@@ -56,8 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import EPS0, MonitorRecord, MonitorState, make_monitor_record
-from .geometry import (Fiber, HomogeneousState, State, WarpedState, curvature_fields,
-                       warped_terms)
+from .geometry import Fiber, HomogeneousState, State, WarpedState, curvature_fields
 
 # Test hook: sign applied to the map-coupling term of the metric flow.
 # Flipping it is used by the verification suite's mutation fixture.
@@ -166,14 +169,18 @@ class Trajectory:
 # right-hand sides
 
 
-def _warped_rates(state: WarpedState, f, psi, k_rad, k_fib, grad_phi_sq, lap_phi):
-    """The (3, m) rate block with rows df/dt = -f (lam0 - (alpha/2)|grad phi|^2),
-    dpsi/dt = -psi lam1 and du/dt = Lap phi, from the derivative kernel's terms."""
-    n = state.n
-    lam0 = (n - 1) * k_rad
-    lam1 = k_rad + (n - 2) * k_fib
-    return np.array((-f * (lam0 - _COUPLING_SIGN * 0.5 * state.alpha * grad_phi_sq),
-                     -psi * lam1, lap_phi))
+def _warped_rates(state: WarpedState, f, psi, lam0, lam1, grad_phi_sq, out):
+    """The (3, m) rate block out, whose last row du/dt = Lap phi the caller
+    has written, with rows df/dt = -f (lam0 - (alpha/2)|grad phi|^2) and
+    dpsi/dt = -psi lam1 written in place from the derivative kernel's terms."""
+    df, dpsi = out[0], out[1]  # indexing: unpacking would iterate the array
+    drive = _COUPLING_SIGN * 0.5 * state.alpha * grad_phi_sq
+    np.subtract(lam0, drive, out=drive)
+    np.negative(f, out=df)
+    df *= drive
+    np.negative(psi, out=dpsi)
+    dpsi *= lam1
+    return out
 
 
 def rhs(state: State, y=None) -> np.ndarray:
@@ -184,16 +191,20 @@ def rhs(state: State, y=None) -> np.ndarray:
     on the coefficients."""
     if not isinstance(state, WarpedState):
         return rhs_homogeneous(state)[np.newaxis]
-    f, psi, u = state.y if y is None else y
-    terms = warped_terms(state.n, state.fiber.curvature, state.h, f, psi, u, state.winding)
-    return _warped_rates(state, f, psi, *terms)
+    y = state.y if y is None else y
+    f, psi, u = y[0], y[1], y[2]
+    out = np.empty(y.shape)
+    _, _, lam0, lam1, grad_phi_sq, _ = state.kernel.terms(f, psi, u, out[2])
+    return _warped_rates(state, f, psi, lam0, lam1, grad_phi_sq, out)
 
 
 def _k1_from_fields(state: State, fields):
     """rhs(state), bit for bit, from the state's curvature fields."""
     if isinstance(state, WarpedState):
-        return _warped_rates(state, state.f, state.psi, fields.k_rad, fields.k_fib,
-                             fields.grad_phi_sq, fields.lap_phi)
+        out = np.empty(state.y.shape)
+        out[2] = fields.lap_phi
+        return _warped_rates(state, state.f, state.psi, fields.lam0, fields.lam1,
+                             fields.grad_phi_sq, out)
     return rhs_homogeneous(state)[np.newaxis]
 
 
@@ -307,7 +318,12 @@ def run(config: FlowConfig, initial: State, *,
         raise ValueError(f"stop_after_steps {stop_after_steps} must exceed the "
                          f"{steps_done} steps already done")
     state = initial.copy()
-    fields = curvature_fields(state)
+    try:  # Python-float arithmetic on extreme data raises OverflowError
+        fields = curvature_fields(state)
+        if monitor_state is None:
+            monitor_state = MonitorState.start(state, fields, config.eps0)
+    except OverflowError as exc:
+        raise ValueError(f"initial state out of floating-point range: {exc}") from exc
     if fields.max_rm >= config.blowup_threshold:
         raise ValueError(f"blowup_threshold {config.blowup_threshold:g} must exceed "
                          f"the initial max|Rm| {fields.max_rm:g}")
@@ -315,9 +331,6 @@ def run(config: FlowConfig, initial: State, *,
     tol = 1e-12 * max(1.0, abs(t_end))
     if state.t >= t_end - tol:
         raise ValueError(f"t_end {t_end:g} must exceed the initial t {state.t:g}")
-
-    if monitor_state is None:
-        monitor_state = MonitorState.start(state, fields, config.eps0)
 
     def record() -> FlowRecord:
         return FlowRecord(state, make_monitor_record(state, fields, monitor_state), steps)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -72,17 +72,91 @@ class Grid:
         return np.arange(self.m) * self.h
 
 
+def _constant(value) -> np.ndarray:
+    """value as a read-only 0-d float64 array: a ufunc takes it faster than a
+    Python number (NumPy's weak-scalar path), with the same result bits."""
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+class WarpedKernel:
+    """The derivative kernel of the warped ansatz, bound to one (n, fiber, m,
+    winding): the periodic-extension index m-1, 0, 1, ..., m-1, 0 and the
+    constants 2h, n-1, n-2, c, winding and those of R and |Rm|^2, as
+    read-only arrays.  warped_kernel() makes one per key and keeps it.  The
+    curvature fields, the flow's right-hand side and WarpedState.phi_x and
+    laplacian all take their derivatives here, so they agree bit for bit."""
+
+    def __init__(self, n: int, fiber: Fiber, m: int, winding: int):
+        self.index = np.arange(-1, m + 1) % m
+        self.index.flags.writeable = False
+        self.two_h = _constant(2.0 * (TWO_PI / m))
+        self.n1, self.n2 = _constant(n - 1), _constant(n - 2)
+        self.c, self.winding = _constant(fiber.curvature), _constant(winding)
+        # R = 2(n-1) K_rad + (n-1)(n-2) K_fib, |Rm|^2 = 4(n-1) K_rad^2 + 2(n-1)(n-2) K_fib^2
+        self.r_rad, self.r_fib = _constant(2.0 * (n - 1)), _constant((n - 1) * (n - 2))
+        self.rm_rad, self.rm_fib = _constant(4.0 * (n - 1)), _constant(2.0 * (n - 1) * (n - 2))
+
+    def dx_periodic(self, values: np.ndarray) -> np.ndarray:
+        """Second-order central difference d/dx on the periodic grid,
+        (v[i+1] - v[i-1]) / (2h) with indices taken mod m."""
+        extended = values[self.index]
+        d = extended[2:] - extended[:-2]
+        d /= self.two_h
+        return d
+
+    def ds(self, values: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """d/ds = (1/f) d/dx."""
+        d = self.dx_periodic(values)
+        d /= f
+        return d
+
+    def phi_x(self, u: np.ndarray) -> np.ndarray:
+        """Coordinate derivative of phi = winding*x + u."""
+        d = self.dx_periodic(u)
+        d += self.winding
+        return d
+
+    def laplacian(self, f, psi, psi_s, v_s, out=None) -> np.ndarray:
+        """v_ss + (n-1)(psi_s/psi) v_s, given the s-derivatives psi_s and v_s:
+        the Laplace-Beltrami operator on x-only scalars (into out if given)."""
+        drift = psi_s / psi
+        drift *= self.n1
+        drift *= v_s
+        return np.add(self.ds(v_s, f), drift, out=out)
+
+    def terms(self, f, psi, u, lap_phi=None):
+        """(k_rad, k_fib, lam0, lam1, |grad phi|^2, Lap phi) of the data f,
+        psi, u, with lam0 = (n-1) k_rad and lam1 = k_rad + (n-2) k_fib the
+        Ricci eigenvalues along d/ds and on the fiber; Lap phi is written into
+        lap_phi if one is given."""
+        psi_s = self.ds(psi, f)
+        k_rad = self.ds(psi_s, f)
+        np.negative(k_rad, out=k_rad)
+        k_rad /= psi
+        phi_s = self.phi_x(u)
+        phi_s /= f
+        lap_phi = self.laplacian(f, psi, psi_s, phi_s, out=lap_phi)
+        k_fib = np.square(psi_s)
+        np.subtract(self.c, k_fib, out=k_fib)
+        k_fib /= np.square(psi)
+        lam1 = self.n2 * k_fib
+        lam1 += k_rad
+        return k_rad, k_fib, self.n1 * k_rad, lam1, np.square(phi_s), lap_phi
+
+
 @cache
-def _periodic_extension(m: int) -> np.ndarray:
-    """Indices m-1, 0, 1, ..., m-1, 0: the grid with one neighbour added at each end."""
-    return np.arange(-1, m + 1) % m
+def warped_kernel(n: int, fiber: Fiber, m: int, winding: int) -> WarpedKernel:
+    """The WarpedKernel of (n, fiber, m, winding), made once per key and kept
+    (one small entry per grid and winding a process uses; nothing in it is
+    writable, so every caller may share it)."""
+    return WarpedKernel(n, fiber, m, winding)
 
 
-def dx_periodic(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order central difference d/dx on the periodic grid,
-    (v[i+1] - v[i-1]) / (2h) with indices taken mod m."""
-    extended = values[_periodic_extension(len(values))]
-    return (extended[2:] - extended[:-2]) / (2.0 * h)
+def _check_alpha(alpha: float):
+    if not 0.0 <= alpha < math.inf:  # nan compares false
+        raise ValueError(f"coupling alpha must be finite and >= 0, got {alpha}")
 
 
 def _first_failure(names: tuple[str, ...], ok: np.ndarray) -> tuple[str, int]:
@@ -132,8 +206,7 @@ class WarpedState:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
-        if self.alpha < 0.0:
-            raise ValueError(f"coupling alpha must be >= 0, got {self.alpha}")
+        _check_alpha(self.alpha)
         fiber = Fiber(self.fiber)
         y = self.y
         if y is None:
@@ -171,9 +244,14 @@ class WarpedState:
     def copy(self) -> "WarpedState":
         return self.evolved(self.y.copy(), self.t)
 
+    @property
+    def kernel(self) -> WarpedKernel:
+        """The derivative kernel of this state's n, fiber, grid and winding."""
+        return warped_kernel(self.n, self.fiber, self.m, self.winding)
+
     def phi_x(self) -> np.ndarray:
         """Coordinate derivative of phi = winding*x + u."""
-        return self.winding + dx_periodic(self.u, self.h)
+        return self.kernel.phi_x(self.u)
 
     # -- the state interface shared with HomogeneousState --------------------
 
@@ -187,14 +265,15 @@ class WarpedState:
         """A validated state that adopts the block y as its arrays() at time t."""
         return WarpedState(self.n, self.fiber, self.alpha, winding=self.winding, t=t, y=y)
 
-    def length_volume(self) -> tuple[float, float]:
+    def length_volume(self, integrate=None) -> tuple[float, float]:
         """Arc length of the base circle and total volume,
 
             L = int f dx,    V = vol(fiber) * int f psi^{n-1} dx,
 
         by trapezoidal quadrature on the periodic grid (which is the plain
-        Riemann sum there)."""
-        return self.h * float(self.f.sum()), self.integrate(1.0)
+        Riemann sum there).  integrate, this state's integrator() if the
+        caller holds one, spares making another."""
+        return self.h * float(self.f.sum()), (integrate or self.integrator())(1.0)
 
     def integrate(self, values: np.ndarray) -> float:
         """int values dmu over the manifold."""
@@ -222,10 +301,8 @@ class WarpedState:
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Laplace-Beltrami operator v_ss + (n-1)(psi_s/psi) v_s on x-only scalars."""
-        h, f = self.h, self.f
-        psi_s = dx_periodic(self.psi, h) / f
-        v_s = dx_periodic(values, h) / f
-        return _warped_laplacian(self.n, h, f, self.psi, psi_s, v_s)
+        kernel, f = self.kernel, self.f
+        return kernel.laplacian(f, self.psi, kernel.ds(self.psi, f), kernel.ds(values, f))
 
 
 @dataclass(frozen=True)
@@ -244,8 +321,10 @@ class Factor:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", Fiber(self.kind))
-        if self.coeff <= 0.0:
-            raise ValueError(f"factor coefficient must be positive, got {self.coeff}")
+        if not 0.0 < self.coeff < math.inf:  # nan compares false
+            raise ValueError(f"factor coeff must be finite and positive, got {self.coeff}")
+        if not math.isfinite(self.slope):
+            raise ValueError(f"factor slope must be finite, got {self.slope}")
         if self.dim < 1:
             raise ValueError(f"factor dimension must be >= 1, got {self.dim}")
         if self.kind is Fiber.ROUND_SPHERE and self.dim < 2:
@@ -272,8 +351,7 @@ class HomogeneousState:
         self.factors = tuple(self.factors)
         if self.n < 2:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
-        if self.alpha < 0.0:
-            raise ValueError(f"coupling alpha must be >= 0, got {self.alpha}")
+        _check_alpha(self.alpha)
         total = sum(fac.dim for fac in self.factors)
         if total != self.n:
             raise ValueError(f"factor dimensions sum to {total}, expected n={self.n}")
@@ -297,9 +375,9 @@ class HomogeneousState:
         factors = tuple(replace(fac, coeff=float(a)) for fac, a in zip(self.factors, y[0]))
         return HomogeneousState(self.n, self.alpha, factors, t)
 
-    def length_volume(self) -> tuple[float, float]:
+    def length_volume(self, integrate=None) -> tuple[float, float]:
         """Circumference scale of the first factor (a representative curve
-        length) and total volume."""
+        length) and total volume, in closed form: integrate is not needed."""
         vol = 1.0
         for fac in self.factors:
             vol *= fiber_volume(fac.dim, fac.kind) * fac.coeff ** (fac.dim / 2.0)
@@ -343,7 +421,14 @@ class CurvatureFields:
     coupling.  s_flow and flow_tensor_sq are the trace and squared norm
     of the tensor driving the metric flow, R_ij - (alpha/2) phi_i phi_j,
     which is the pair entering the evolution identity (see analysis).
+    ric_op is the largest |Ricci eigenvalue| at each point.
     max_rm = max sqrt(rm_sq) over the grid is taken once, at construction.
+
+    s_scalar, s_flow, flow_tensor_sq and ric_op are computed the first
+    time they are read and then kept, from n, alpha and the Ricci
+    eigenvalues lam0 (along d/ds) and lam1 (on the fiber) of a warped
+    state: a flow step off the record cadence reads none of them.  The
+    homogeneous builder sets all four itself and gives no lam0, lam1.
     """
 
     k_rad: np.ndarray
@@ -354,14 +439,30 @@ class CurvatureFields:
     weyl_sq: np.ndarray
     grad_phi_sq: np.ndarray
     lap_phi: np.ndarray
-    s_scalar: np.ndarray
-    s_flow: np.ndarray
-    flow_tensor_sq: np.ndarray
-    ric_op: np.ndarray
+    n: int
+    alpha: float
+    lam0: np.ndarray | None = None
+    lam1: np.ndarray | None = None
     max_rm: float = field(init=False)
 
     def __post_init__(self):
         self.max_rm = math.sqrt(self.rm_sq.max())
+
+    @cached_property
+    def s_scalar(self) -> np.ndarray:
+        return self.scalar - self.alpha * self.grad_phi_sq
+
+    @cached_property
+    def s_flow(self) -> np.ndarray:
+        return self.scalar - 0.5 * self.alpha * self.grad_phi_sq
+
+    @cached_property
+    def flow_tensor_sq(self) -> np.ndarray:
+        return (self.lam0 - 0.5 * self.alpha * self.grad_phi_sq) ** 2 + (self.n - 1) * self.lam1**2
+
+    @cached_property
+    def ric_op(self) -> np.ndarray:
+        return np.maximum(np.abs(self.lam0), np.abs(self.lam1))
 
     @property
     def max_ric(self) -> float:
@@ -375,46 +476,20 @@ def _weyl_sq(n: int, rm_sq, ric_sq, scalar_sq):
     return rm_sq - 4.0 / (n - 2) * ric_sq + 2.0 / ((n - 1) * (n - 2)) * scalar_sq
 
 
-def _warped_laplacian(n: int, h: float, f, psi, psi_s, v_s):
-    """v_ss + (n-1)(psi_s/psi) v_s, given the s-derivatives psi_s and v_s:
-    the Laplace-Beltrami operator of WarpedState.laplacian and of Lap phi."""
-    return dx_periodic(v_s, h) / f + (n - 1) * (psi_s / psi) * v_s
-
-
-def warped_terms(n: int, c: float, h: float, f, psi, u, winding: int):
-    """The derivative kernel of the warped ansatz: (k_rad, k_fib,
-    |grad phi|^2, Lap phi) of the data f, psi, u on a periodic grid of
-    spacing h.  The curvature fields and the flow's right-hand side are
-    both built on it, so they agree bit for bit."""
-    psi_s = dx_periodic(psi, h) / f
-    psi_ss = dx_periodic(psi_s, h) / f
-    phi_s = (winding + dx_periodic(u, h)) / f
-    lap_phi = _warped_laplacian(n, h, f, psi, psi_s, phi_s)
-    return -psi_ss / psi, (c - psi_s**2) / psi**2, phi_s**2, lap_phi
-
-
 def compute_curvature(state: WarpedState) -> CurvatureFields:
     """All curvature/coupling fields of a warped state, in closed form."""
     _check_finite(state.ROWS, state.y)
-    n = state.n
-    alpha = state.alpha
-    k_rad, k_fib, grad_phi_sq, lap_phi = warped_terms(
-        n, state.fiber.curvature, state.h, state.f, state.psi, state.u, state.winding)
-
-    scalar = 2.0 * (n - 1) * k_rad + (n - 1) * (n - 2) * k_fib
-    lam0 = (n - 1) * k_rad
-    lam1 = k_rad + (n - 2) * k_fib
-    ric_sq = lam0**2 + (n - 1) * lam1**2
-    rm_sq = 4.0 * (n - 1) * k_rad**2 + 2.0 * (n - 1) * (n - 2) * k_fib**2
-    weyl_sq = _weyl_sq(n, rm_sq, ric_sq, scalar**2)
-
-    s_scalar = scalar - alpha * grad_phi_sq
-    s_flow = scalar - 0.5 * alpha * grad_phi_sq
-    flow_tensor_sq = (lam0 - 0.5 * alpha * grad_phi_sq) ** 2 + (n - 1) * lam1**2
-    ric_op = np.maximum(np.abs(lam0), np.abs(lam1))
-
-    return CurvatureFields(k_rad, k_fib, scalar, ric_sq, rm_sq, weyl_sq, grad_phi_sq,
-                           lap_phi, s_scalar, s_flow, flow_tensor_sq, ric_op)
+    kernel = state.kernel
+    k_rad, k_fib, lam0, lam1, grad_phi_sq, lap_phi = kernel.terms(state.f, state.psi, state.u)
+    scalar = kernel.r_rad * k_rad
+    scalar += kernel.r_fib * k_fib
+    ric_sq = kernel.n1 * np.square(lam1)
+    ric_sq += np.square(lam0)
+    rm_sq = kernel.rm_rad * np.square(k_rad)
+    rm_sq += kernel.rm_fib * np.square(k_fib)
+    weyl_sq = _weyl_sq(state.n, rm_sq, ric_sq, np.square(scalar))
+    return CurvatureFields(k_rad, k_fib, scalar, ric_sq, rm_sq, weyl_sq, grad_phi_sq, lap_phi,
+                           state.n, state.alpha, lam0, lam1)
 
 
 def compute_curvature_homogeneous(state: HomogeneousState) -> CurvatureFields:
@@ -460,10 +535,12 @@ def compute_curvature_homogeneous(state: HomogeneousState) -> CurvatureFields:
 
     arr = lambda v: np.array([float(v)])
     weyl_sq = _weyl_sq(n, rm_sq, ric_sq, scalar**2)
-    return CurvatureFields(
-        arr(k_rad), arr(k_fib), arr(scalar), arr(ric_sq), arr(rm_sq),
-        arr(weyl_sq), arr(grad), arr(0.0), arr(scalar - alpha * grad),
-        arr(scalar - 0.5 * alpha * grad), arr(flow_tensor_sq), arr(ric_op))
+    fields = CurvatureFields(arr(k_rad), arr(k_fib), arr(scalar), arr(ric_sq), arr(rm_sq),
+                             arr(weyl_sq), arr(grad), arr(0.0), n, alpha)
+    vars(fields).update(s_scalar=arr(scalar - alpha * grad),
+                        s_flow=arr(scalar - 0.5 * alpha * grad),
+                        flow_tensor_sq=arr(flow_tensor_sq), ric_op=arr(ric_op))
+    return fields
 
 
 def curvature_fields(state: State) -> CurvatureFields:

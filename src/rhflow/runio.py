@@ -125,6 +125,8 @@ def parse_config(raw: dict) -> tuple[FlowConfig, State]:
         return scenario_run(scn, representation, **settings, params=params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
+    except OverflowError as exc:  # the closed form is evaluated in Python floats
+        raise ConfigError(f"scenario parameters out of floating-point range: {exc}") from exc
 
 
 def load_config(path) -> tuple[FlowConfig, State]:

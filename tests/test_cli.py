@@ -156,6 +156,9 @@ def test_params_are_typed_like_run_fields(tmp_path):
     assert main(["resume", str(out)]) == 0
 
 
+SETUP_CONFIG = "scenario: {}\nn: {}\nalpha: 1.0\nt_end: 0.01\nm: 16\n{}\n"
+
+
 @pytest.mark.parametrize("text", [
     "scenario: torus_list\nn: 3\nalpha: 1.0\nt_end: 0.1\n",
     "scenario: perturbed_cylinder\nn: 4\nalpha: 1.0\nt_end: 0.1\nparams:\n  winding: 3\n",
@@ -165,9 +168,18 @@ def test_params_are_typed_like_run_fields(tmp_path):
     FLAT_CONFIG.replace("t_end: 0.1", "t_end: .nan"),
     FLAT_CONFIG.replace("m: 16", "m: 4"),
     CYLINDER_CONFIG.replace("dt: 1.0e-3", "dt: 1.0e-16"),
+    # set-up overflows a Python float: in the closed form or in the initial fields
+    CYLINDER_CONFIG.replace("psi0: 1.0", "psi0: 1.0e200"),
+    SETUP_CONFIG.format("shrinking_sphere", 3, "params: {a0: 1.0e-200}"),
+    SETUP_CONFIG.format("shrinking_sphere", 3, "params: {a0: 1.0e308}"),
+    SETUP_CONFIG.format("torus_list", 2, "params: {winding: 1.0e200}"),
+    *(SETUP_CONFIG.format(scenario, 400, "") for scenario in (
+        "flat_stationary", "shrinking_sphere", "shrinking_cylinder", "perturbed_cylinder")),
 ], ids=["torus_list_n3", "unread_winding", "threshold_below_initial_rm",
         "snapshots_off_the_record_cadence", "c_cfl_above_rk4_limit", "t_end_nan",
-        "grid_too_small", "dt_below_step_floor"])
+        "grid_too_small", "dt_below_step_floor", "psi0_squared_overflows",
+        "sphere_curvature_overflows", "sphere_volume_overflows", "winding_squared_overflows",
+        "flat_n400", "sphere_n400", "cylinder_n400", "perturbed_cylinder_n400"])
 def test_bad_scenario_input_exits_2_without_output(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"

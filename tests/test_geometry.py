@@ -187,6 +187,23 @@ def test_factor_validation():
         HomogeneousState(3, 0.0, (Factor(1.0, Fiber.FLAT_TORUS, 1),))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_refuse_non_finite_numbers(bad):
+    # nan passes a `<= 0` test, and an inf coefficient gave max|Rm| 0.0
+    if bad > 0.0 or math.isnan(bad):
+        with pytest.raises(ValueError, match=f"^factor coeff must be finite and positive, "
+                                             f"got {bad}$"):
+            Factor(bad, Fiber.ROUND_SPHERE, 3)
+    with pytest.raises(ValueError, match=f"^factor slope must be finite, got {bad}$"):
+        Factor(1.0, Fiber.FLAT_TORUS, 1, slope=bad)
+    factors = (Factor(1.0, Fiber.ROUND_SPHERE, 3),)
+    for build in (lambda: WarpedState(4, Fiber.ROUND_SPHERE, bad, np.ones(16), np.ones(16)),
+                  lambda: HomogeneousState(3, bad, factors)):
+        with pytest.raises(ValueError, match=f"^coupling alpha must be finite and >= 0, "
+                                             f"got {bad}$"):
+            build()
+
+
 def test_lengths_and_volume_flat():
     state = WarpedState(2, Fiber.FLAT_TORUS, 0.0, np.ones(64), np.ones(64))
     length, vol = state.length_volume()

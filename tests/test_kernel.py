@@ -1,7 +1,9 @@
 """The block kernel pinned bit for bit against the per-array forms it
-replaced: dx_periodic against np.roll, one RK4 step against an RK4 over
-a tuple of separate arrays, and the rate limiter against the minimum of
-its per-row bounds."""
+replaced: the bound derivative kernel against a per-call kernel over
+np.roll differences, the curvature fields computed on first read against
+their eager formulas, one RK4 step against an RK4 over a tuple of
+separate arrays, and the rate limiter against the minimum of its per-row
+bounds."""
 import copy
 import dataclasses
 import pickle
@@ -11,8 +13,8 @@ import pytest
 
 from rhflow import flow
 from rhflow.flow import FlowConfig, rhs_homogeneous
-from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState, dx_periodic,
-                             warped_terms)
+from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState,
+                             compute_curvature, compute_curvature_homogeneous, warped_kernel)
 
 
 def roll_dx(values, h):
@@ -20,17 +22,46 @@ def roll_dx(values, h):
     return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * h)
 
 
+def reference_laplacian(n, h, f, psi, psi_s, v_s):
+    """v_ss + (n-1)(psi_s/psi) v_s with Python-number constants."""
+    return roll_dx(v_s, h) / f + (n - 1) * (psi_s / psi) * v_s
+
+
+def reference_terms(n, c, h, f, psi, u, winding):
+    """The per-call kernel the bound one replaced: (k_rad, k_fib,
+    |grad phi|^2, Lap phi) of f, psi, u, its constants Python numbers."""
+    psi_s = roll_dx(psi, h) / f
+    psi_ss = roll_dx(psi_s, h) / f
+    phi_s = (winding + roll_dx(u, h)) / f
+    lap_phi = reference_laplacian(n, h, f, psi, psi_s, phi_s)
+    return -psi_ss / psi, (c - psi_s**2) / psi**2, phi_s**2, lap_phi
+
+
+def reference_state_terms(state):
+    return reference_terms(state.n, state.fiber.curvature, state.h, state.f, state.psi,
+                           state.u, state.winding)
+
+
+def reference_rates(state, f, psi, u, sign=1.0):
+    n = state.n
+    k_rad, k_fib, grad_phi_sq, lap_phi = reference_terms(
+        n, state.fiber.curvature, state.h, f, psi, u, state.winding)
+    lam0 = (n - 1) * k_rad
+    lam1 = k_rad + (n - 2) * k_fib
+    return -f * (lam0 - sign * 0.5 * state.alpha * grad_phi_sq), -psi * lam1, lap_phi
+
+
 def tuple_rates(state, arrays):
     """(df/dt, dpsi/dt, du/dt) or (coefficient rates,) as separate arrays."""
     if not isinstance(state, WarpedState):
         return (rhs_homogeneous(state),)
-    f, psi, u = arrays
-    n = state.n
-    k_rad, k_fib, grad_phi_sq, lap_phi = warped_terms(
-        n, state.fiber.curvature, state.h, f, psi, u, state.winding)
-    lam0 = (n - 1) * k_rad
-    lam1 = k_rad + (n - 2) * k_fib
-    return -f * (lam0 - 0.5 * state.alpha * grad_phi_sq), -psi * lam1, lap_phi
+    return reference_rates(state, *arrays)
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def tuple_rk4(state, dt):
@@ -53,15 +84,129 @@ def homogeneous():
                                      Factor(1.5, Fiber.ROUND_SPHERE, 3)))
 
 
+def random_state(fiber, m, winding, n=4, alpha=0.7):
+    rng = np.random.default_rng([m, abs(winding), fiber is Fiber.ROUND_SPHERE])
+    x = Grid(m).x
+    f = np.exp(0.3 * rng.standard_normal(m))
+    psi = 1.5 + 0.2 * np.sin(x + rng.uniform(0.0, 6.0)) + 0.05 * rng.standard_normal(m)
+    return WarpedState(n, fiber, alpha, f, psi, winding, 0.1 * rng.standard_normal(m))
+
+
+GRID_CASES = [(fiber, m, winding) for fiber in Fiber for m in (8, 9, 64, 257)
+              for winding in (0, 1, -2)]
+GRID_IDS = [f"{fiber.value}-m{m}-w{winding}" for fiber, m, winding in GRID_CASES]
+
+
 @pytest.mark.parametrize("m", [8, 9, 64, 257])
 def test_dx_periodic_equals_the_roll_form(m):
     rng = np.random.default_rng(m)
     h = Grid(m).h
+    kernel = warped_kernel(4, Fiber.ROUND_SPHERE, m, 0)
     for values in (rng.standard_normal(m), np.exp(rng.standard_normal(m)), np.sin(Grid(m).x)):
-        assert dx_periodic(values, h).tobytes() == roll_dx(values, h).tobytes()
-    # a row view of a block, as the kernel passes it
+        assert_bits(kernel.dx_periodic(values), roll_dx(values, h))
+    # a row view of a block, as the kernel is passed one
     block = rng.standard_normal((3, m))
-    assert dx_periodic(block[1], h).tobytes() == roll_dx(block[1], h).tobytes()
+    assert_bits(kernel.dx_periodic(block[1]), roll_dx(block[1], h))
+
+
+@pytest.mark.parametrize("fiber, m, winding", GRID_CASES, ids=GRID_IDS)
+def test_bound_kernel_equals_the_per_call_kernel(fiber, m, winding):
+    state = random_state(fiber, m, winding)
+    n, h, f, psi, u = state.n, state.h, state.f, state.psi, state.u
+    k_rad, k_fib, grad_phi_sq, lap_phi = reference_state_terms(state)
+    want = (k_rad, k_fib, (n - 1) * k_rad, k_rad + (n - 2) * k_fib, grad_phi_sq, lap_phi)
+    kernel = state.kernel
+    assert kernel is warped_kernel(n, fiber, m, winding)
+    for got, ref in zip(kernel.terms(f, psi, u), want, strict=True):
+        assert_bits(got, ref)
+    out = np.empty(m)
+    assert kernel.terms(f, psi, u, out)[5] is out
+    assert_bits(out, lap_phi)
+
+    fields = compute_curvature(state)
+    for name, ref in zip(("k_rad", "k_fib", "lam0", "lam1", "grad_phi_sq", "lap_phi"), want):
+        assert_bits(getattr(fields, name), ref)
+    scalar = 2.0 * (n - 1) * k_rad + (n - 1) * (n - 2) * k_fib
+    assert_bits(fields.scalar, scalar)
+    assert_bits(fields.ric_sq, want[2]**2 + (n - 1) * want[3]**2)
+    assert_bits(fields.rm_sq, 4.0 * (n - 1) * k_rad**2 + 2.0 * (n - 1) * (n - 2) * k_fib**2)
+
+    assert_bits(state.phi_x(), winding + roll_dx(u, h))
+    values = np.cos(Grid(m).x) * f
+    psi_s = roll_dx(psi, h) / f
+    assert_bits(state.laplacian(values),
+                reference_laplacian(n, h, f, psi, psi_s, roll_dx(values, h) / f))
+
+    rates = flow.rhs(state)
+    assert rates.shape == (3, m) and rates.flags.c_contiguous
+    assert_bits(rates, np.array(reference_rates(state, f, psi, u)))
+    assert_bits(flow._k1_from_fields(state, fields), rates)
+    stage = state.y + 0.01 * rates
+    assert_bits(flow.rhs(state, stage), np.array(reference_rates(state, *stage)))
+
+
+def test_kernel_constants_are_read_only():
+    kernel = warped_kernel(3, Fiber.FLAT_TORUS, 16, 1)
+    for value in vars(kernel).values():
+        assert isinstance(value, np.ndarray) and not value.flags.writeable
+    with pytest.raises(ValueError):
+        kernel.two_h[...] = 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_fields_read_late_equal_their_eager_formulas_warped(n):
+    state = random_state(Fiber.ROUND_SPHERE, 64, 1, n=n, alpha=1.3)
+    fields = compute_curvature(state)
+    lazy = ("s_scalar", "s_flow", "flow_tensor_sq", "ric_op")
+    assert not set(lazy) & set(vars(fields))  # nothing formed before it is read
+    k_rad, k_fib, grad_phi_sq, _ = reference_state_terms(state)
+    alpha = state.alpha
+    scalar = 2.0 * (n - 1) * k_rad + (n - 1) * (n - 2) * k_fib
+    lam0 = (n - 1) * k_rad
+    lam1 = k_rad + (n - 2) * k_fib
+    want = {
+        "s_scalar": scalar - alpha * grad_phi_sq,
+        "s_flow": scalar - 0.5 * alpha * grad_phi_sq,
+        "flow_tensor_sq": (lam0 - 0.5 * alpha * grad_phi_sq) ** 2 + (n - 1) * lam1**2,
+        "ric_op": np.maximum(np.abs(lam0), np.abs(lam1)),
+    }
+    for name in lazy:
+        got = getattr(fields, name)
+        assert_bits(got, want[name])
+        assert getattr(fields, name) is got  # kept, not formed again
+    assert fields.max_ric == float(want["ric_op"].max())
+
+
+def test_fields_of_homogeneous_states_equal_their_eager_formulas():
+    alpha, slope, a, b = 1.3, 1.0, 2.0, 1.5
+    state = HomogeneousState(4, alpha, (Factor(a, Fiber.FLAT_TORUS, 1, slope=slope),
+                                        Factor(b, Fiber.ROUND_SPHERE, 3)))
+    fields = compute_curvature_homogeneous(state)
+    eig = (3 - 1) * 1.0 / b
+    scalar = 0.0 + 1 * 0.0 + 3 * eig
+    grad = 0.0 + slope**2 / a
+    want = {
+        "s_scalar": scalar - alpha * grad,
+        "s_flow": scalar - 0.5 * alpha * grad,
+        "flow_tensor_sq": 0.0 + (0.0 - 0.5 * (alpha * slope**2 / a)) ** 2 + 3 * eig**2,
+        "ric_op": max(0.0, abs(0.0), abs(eig)),
+    }
+    for name, value in want.items():
+        assert_bits(getattr(fields, name), np.array([value]))
+    assert fields.lam0 is None and fields.lam1 is None
+    assert_bits(fields.scalar, np.array([scalar]))
+
+
+def test_coupling_sign_is_read_at_call_time(monkeypatch):
+    state = random_state(Fiber.ROUND_SPHERE, 64, 1, alpha=1.0)
+    fields = compute_curvature(state)
+    rates, k1 = flow.rhs(state), flow._k1_from_fields(state, fields)  # the cache is warm
+    monkeypatch.setattr(flow, "_COUPLING_SIGN", -1.0)
+    want = np.array(reference_rates(state, state.f, state.psi, state.u, sign=-1.0))
+    for flipped in (flow.rhs(state), flow._k1_from_fields(state, compute_curvature(state))):
+        assert_bits(flipped, want)
+        assert not np.array_equal(flipped[0], rates[0]) and not np.array_equal(flipped[0], k1[0])
+        assert_bits(flipped[1:], rates[1:])
 
 
 @pytest.mark.parametrize("state", [warped(), homogeneous()], ids=["warped", "homogeneous"])
