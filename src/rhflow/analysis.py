@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (CurvatureFields, Fiber, HomogeneousState, State,
-                       ball_volume_constant, curvature_fields, scale_state, sphere_area)
+from .geometry import (CurvatureFields, Fiber, HomogeneousState, State, ball_volume_constant,
+                       curvature_fields, scale_state, sphere_area, stacked_curvature)
 
 EPS0 = 1e-8
+S_CHUNK = 30  # windows per stacked pass of monitor_S_evolution (see there)
 
 
 # ---------------------------------------------------------------------------
@@ -88,33 +88,39 @@ class MonitorState:
 
     @classmethod
     def start(cls, state: State, fields: CurvatureFields, eps0: float = EPS0):
-        ir, iw = curvature_power_integrals(state, fields)
+        ir, iw = curvature_power_integrals(fields, state.integrator())
         return cls(min_s0=float(fields.s_scalar.min()),
                    sup_r=float(fields.scalar.max()),
                    acc_r=0.0, acc_w=0.0, prev_t=state.t,
                    prev_ir=ir, prev_iw=iw, eps0=eps0)
 
+    def integrator(self, state: State):
+        """state.integrator(), kept for the state last asked about: update() and
+        make_monitor_record share it.  No dataclass field, so checkpoints skip it."""
+        if vars(self).get("_kept", (None,))[0] is not state:
+            self._kept = (state, state.integrator())
+        return self._kept[1]
+
     def update(self, state: State, fields: CurvatureFields):
         """Advance accumulators to the state's time (call once per step)."""
         dt = state.t - self.prev_t
-        ir, iw = curvature_power_integrals(state, fields)
+        ir, iw = curvature_power_integrals(fields, self.integrator(state))
         self.acc_r += 0.5 * (self.prev_ir + ir) * dt
         self.acc_w += 0.5 * (self.prev_iw + iw) * dt
         self.sup_r = max(self.sup_r, float(fields.scalar.max()))
         self.prev_t, self.prev_ir, self.prev_iw = state.t, ir, iw
 
 
-def curvature_power_integrals(state: State, fields: CurvatureFields) -> tuple[float, float]:
-    """(int |R|^p dmu, int |W|^p dmu) with p = (n+2)/2."""
-    p = (state.n + 2) / 2.0
-    integrate = state.integrator()
+def curvature_power_integrals(fields: CurvatureFields, integrate) -> tuple[float, float]:
+    """(int |R|^p dmu, int |W|^p dmu) with p = (n+2)/2, by the state's integrator."""
+    p = (fields.n + 2) / 2.0
     return integrate(np.abs(fields.scalar) ** p), integrate(np.abs(fields.weyl_sq) ** (p / 2.0))
 
 
 def make_monitor_record(state: State, fields: CurvatureFields,
                         mon: MonitorState) -> MonitorRecord:
     alpha = state.alpha
-    integrate = state.integrator()
+    integrate = mon.integrator(state)
     length, volume = state.length_volume(integrate)
     integrand = integrate(-fields.scalar + 0.5 * alpha * fields.grad_phi_sq)
     max_grad = float(fields.grad_phi_sq.max())
@@ -161,42 +167,47 @@ def monitor_S_evolution(traj, k: int | None = None) -> float:
     time derivative is the central difference across snapshots
     k-1, k, k+1, which must be uniformly spaced; with k=None the worst
     residual over all uniform interior windows is returned.
+
+    Consecutive uniform windows go in chunks of at most S_CHUNK, each one
+    geometry.stacked_curvature pass over its S_CHUNK + 2 records (k= is a
+    chunk of one), so memory is bounded by a few dozen (m, S_CHUNK + 2)
+    arrays, about 1.5 MB at m = 192, whatever the trajectory's length.
+    Each residual equals its window's own three-record evaluation bit for bit.
     """
     recs = _records(traj)
-    # windows slide by one record, so three cached fields compute each once
-    fields_of = lru_cache(maxsize=3)(lambda i: curvature_fields(recs[i].state))
+    times = np.array([rec.t for rec in recs])
+    d1, d2 = times[1:-1] - times[:-2], times[2:] - times[1:-1]
+    # window k (entry k - 1) is uniform unless its spacings differ by more than
+    # 1e-9 relative; the test is not-greater, so a nan spacing counts as uniform
+    uniform = ~(np.abs(d1 - d2) > 1e-9 * np.maximum(d1, d2))
+    spans = d1 + d2
     if k is not None:
-        return _s_evolution_window(recs, k, fields_of)
-    worst = None
-    for kk in range(1, len(recs) - 1):
-        if _window_span(recs, kk) is not None:
-            worst = max(worst or 0.0, _s_evolution_window(recs, kk, fields_of))
-    if worst is None:
+        if not 1 <= k <= len(recs) - 2:
+            raise ValueError(f"window index {k} needs neighbors on both sides")
+        if not uniform[k - 1]:
+            raise ValueError("snapshots are not uniformly spaced around the window")
+        return _s_residuals(recs, np.array([k]), spans)[0]
+    windows = np.flatnonzero(uniform) + 1
+    if not windows.size:
         raise ValueError("need at least three uniformly spaced snapshots")
+    worst = 0.0
+    for run in np.split(windows, np.flatnonzero(np.diff(windows) > 1) + 1):
+        for i in range(0, run.size, S_CHUNK):
+            worst = max([worst, *_s_residuals(recs, run[i:i + S_CHUNK], spans)])
     return worst
 
 
-def _window_span(recs, k: int) -> float | None:
-    """The two t spacings around record k summed, or None unless they agree to 1e-9."""
-    d1 = recs[k].t - recs[k - 1].t
-    d2 = recs[k + 1].t - recs[k].t
-    if abs(d1 - d2) > 1e-9 * max(d1, d2):
-        return None
-    return d1 + d2
-
-
-def _s_evolution_window(recs, k: int, fields_of) -> float:
-    if not (1 <= k <= len(recs) - 2):
-        raise ValueError(f"window index {k} needs neighbors on both sides")
-    span = _window_span(recs, k)
-    if span is None:
-        raise ValueError("snapshots are not uniformly spaced around the window")
-    f_prev, f_mid, f_next = fields_of(k - 1), fields_of(k), fields_of(k + 1)
-    dsdt = (f_next.s_flow - f_prev.s_flow) / span
-    lap_s = recs[k].state.laplacian(f_mid.s_flow)
-    alpha = recs[k].state.alpha
-    resid = dsdt - lap_s - 2.0 * f_mid.flow_tensor_sq - alpha * f_mid.lap_phi**2
-    return float(np.max(np.abs(resid)))
+def _s_residuals(recs, ks: np.ndarray, spans: np.ndarray) -> list[float]:
+    """Sup-norm residuals of the consecutive windows ks (spans[k - 1] the
+    time span of window k), from one stacked pass over their records."""
+    states = [rec.state for rec in recs[ks[0] - 1:ks[-1] + 2]]
+    fields, laplacian = stacked_curvature(states)
+    s_flow, mid = fields.s_flow, slice(1, -1)
+    dsdt = (s_flow[:, 2:] - s_flow[:, :-2]) / spans[ks - 1]
+    lap_s = laplacian(s_flow)[:, mid]
+    resid = (dsdt - lap_s - 2.0 * fields.flow_tensor_sq[:, mid]
+             - states[0].alpha * fields.lap_phi[:, mid]**2)
+    return np.max(np.abs(resid), axis=0).tolist()
 
 
 def check_min_S_monotone(traj) -> float:
@@ -293,15 +304,14 @@ def check_volume_evolution(traj) -> tuple[float, float]:
     times = np.array([rec.t for rec in recs])
     integrands = np.array([rec.monitor.volume_integrand for rec in recs])
 
-    max_resid = 0.0
-    for k in range(len(recs) - 1):
-        dt = times[k + 1] - times[k]
-        if dt <= 0.0:
-            raise ValueError("record times must be strictly increasing")
-        rate = (vols[k + 1] - vols[k]) / dt
-        avg = 0.5 * (integrands[k] + integrands[k + 1])
-        scale = 1.0 + max(abs(integrands[k]), abs(integrands[k + 1]))
-        max_resid = max(max_resid, abs(rate - avg) / scale)
+    dt = np.diff(times)
+    if np.any(dt <= 0.0):
+        raise ValueError("record times must be strictly increasing")
+    rate = np.diff(vols) / dt
+    avg = 0.5 * (integrands[:-1] + integrands[1:])
+    scale = 1.0 + np.maximum(np.abs(integrands[:-1]), np.abs(integrands[1:]))
+    # fmax skips a nan residual, as a running max(max_resid, nan) does
+    max_resid = float(np.fmax.reduce(np.abs(rate - avg) / scale, initial=0.0))
 
     decay = np.array([rec.monitor.max_abs_r + 0.5 * alpha * rec.monitor.max_grad_phi_sq
                       for rec in recs])

@@ -49,7 +49,9 @@ rhs applies to the kernel's terms, so k1 equals rhs(state) bit for bit.
 _COUPLING_SIGN is read on each call, by both.  The other three stages
 are bare blocks passed to rhs; a stage whose metric rows are not
 positive rejects the step.
-Only the accepted state is built and validated, once, by state.evolved;
+Only the accepted state is built and validated, once, by state.evolved,
+and its finiteness is tested once, by the curvature_fields call that
+_try_step makes for it (a non-finite row there rejects the step);
 nothing mutates it afterwards, so the records share it without a copy.
 """
 from __future__ import annotations
@@ -242,12 +244,15 @@ def _rk4(state: State, dt: float, k1=None) -> State:
 
 
 def _try_step(state: State, dt: float, k1=None):
-    """RK4 attempt under the caller's np.errstate: the new state, or None if rejected."""
+    """RK4 attempt under the caller's np.errstate: the new state and its
+    curvature fields, or None if rejected.  The state's finiteness is
+    tested once, where it is built (homogeneous) or by curvature_fields
+    (warped), and a non-finite row raises ValueError there, a rejection."""
     try:
         new = _rk4(state, dt, k1)
+        return new, curvature_fields(new)
     except ValueError:
         return None
-    return new if np.isfinite(new.arrays()).all() else None
 
 
 def step(state: State, dt: float):
@@ -256,10 +261,10 @@ def step(state: State, dt: float):
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     with np.errstate(all="ignore"):
-        new = _try_step(state, dt)
-    if new is None:
+        ahead = _try_step(state, dt)
+    if ahead is None:
         raise StepError(f"step of size {dt} rejected at t={state.t}")
-    return new
+    return ahead[0]
 
 
 def _dt_bound(state: State, config: FlowConfig, k1) -> float:
@@ -289,10 +294,9 @@ def _advance(state: State, fields, config: FlowConfig):
         for _ in range(_MAX_HALVINGS + 1):
             if dt <= _STEP_FLOOR * max(1.0, abs(state.t)):
                 return None
-            new_state = _try_step(state, dt, k1)
-            if new_state is not None:
-                new_fields = curvature_fields(new_state)
-                return (new_state, new_fields) if math.isfinite(new_fields.max_rm) else None
+            ahead = _try_step(state, dt, k1)
+            if ahead is not None:
+                return ahead if math.isfinite(ahead[1].max_rm) else None
             dt *= 0.5
     return None
 

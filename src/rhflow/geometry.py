@@ -32,6 +32,7 @@ flow and the monitors use (arrays, evolved, length_volume, integrate, ...).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache, cached_property
@@ -476,20 +477,25 @@ def _weyl_sq(n: int, rm_sq, ric_sq, scalar_sq):
     return rm_sq - 4.0 / (n - 2) * ric_sq + 2.0 / ((n - 1) * (n - 2)) * scalar_sq
 
 
-def compute_curvature(state: WarpedState) -> CurvatureFields:
-    """All curvature/coupling fields of a warped state, in closed form."""
-    _check_finite(state.ROWS, state.y)
-    kernel = state.kernel
-    k_rad, k_fib, lam0, lam1, grad_phi_sq, lap_phi = kernel.terms(state.f, state.psi, state.u)
+def _warped_fields(kernel: WarpedKernel, n: int, alpha: float, f, psi, u) -> CurvatureFields:
+    """The curvature fields of warped data f, psi, u: the rows of one state,
+    or (m, k) arrays with one state per column."""
+    k_rad, k_fib, lam0, lam1, grad_phi_sq, lap_phi = kernel.terms(f, psi, u)
     scalar = kernel.r_rad * k_rad
     scalar += kernel.r_fib * k_fib
     ric_sq = kernel.n1 * np.square(lam1)
     ric_sq += np.square(lam0)
     rm_sq = kernel.rm_rad * np.square(k_rad)
     rm_sq += kernel.rm_fib * np.square(k_fib)
-    weyl_sq = _weyl_sq(state.n, rm_sq, ric_sq, np.square(scalar))
+    weyl_sq = _weyl_sq(n, rm_sq, ric_sq, np.square(scalar))
     return CurvatureFields(k_rad, k_fib, scalar, ric_sq, rm_sq, weyl_sq, grad_phi_sq, lap_phi,
-                           state.n, state.alpha, lam0, lam1)
+                           n, alpha, lam0, lam1)
+
+
+def compute_curvature(state: WarpedState) -> CurvatureFields:
+    """All curvature/coupling fields of a warped state, in closed form."""
+    _check_finite(state.ROWS, state.y)
+    return _warped_fields(state.kernel, state.n, state.alpha, state.f, state.psi, state.u)
 
 
 def compute_curvature_homogeneous(state: HomogeneousState) -> CurvatureFields:
@@ -547,6 +553,49 @@ def curvature_fields(state: State) -> CurvatureFields:
     if isinstance(state, WarpedState):
         return compute_curvature(state)
     return compute_curvature_homogeneous(state)
+
+
+# CurvatureFields' leading arrays, and the ones compute_curvature_homogeneous sets itself
+_FIELD_ARRAYS = ("k_rad", "k_fib", "scalar", "ric_sq", "rm_sq", "weyl_sq", "grad_phi_sq", "lap_phi")
+_HOMOGENEOUS_SET = ("s_scalar", "s_flow", "flow_tensor_sq", "ric_op")
+
+
+def stacked_curvature(states) -> tuple[CurvatureFields, Callable[[np.ndarray], np.ndarray]]:
+    """The curvature fields of several states as columns, and the Laplacian
+    on such columns.
+
+    The states are of one kind with one n and alpha, and warped ones share
+    one kernel.  Every field is an (m, k) array, the grid along axis 0 and
+    state j in column j ((1, k) for homogeneous states); max_rm is the
+    maximum over the whole stack.  laplacian(values) applies each state's
+    Laplace-Beltrami operator to its column of an (m, k) array (zero for
+    homogeneous states).  Warped columns run compute_curvature's code and
+    WarpedState.laplacian's, whose every operation is elementwise or a
+    gather or slice along axis 0, so each column equals the one-state
+    result bit for bit.  A non-finite state raises compute_curvature's
+    error.
+    """
+    first = states[0]
+    if len({(type(s), s.n, s.alpha) for s in states}) > 1:
+        raise ValueError("stacked states must share one kind, n and alpha")
+    if isinstance(first, HomogeneousState):
+        each = [vars(compute_curvature_homogeneous(s)) for s in states]
+        column = lambda name: np.stack([f[name] for f in each], axis=1)
+        stacked = CurvatureFields(*map(column, _FIELD_ARRAYS), first.n, first.alpha)
+        vars(stacked).update({name: column(name) for name in _HOMOGENEOUS_SET})
+        return stacked, np.zeros_like
+    if len({(s.fiber, s.m, s.winding) for s in states}) > 1:
+        raise ValueError("stacked warped states must share one kernel")
+    kernel = first.kernel
+    y = np.array([s.y for s in states])
+    if not np.isfinite(y).all():
+        for s in states:
+            _check_finite(s.ROWS, s.y)
+    y = np.ascontiguousarray(y.transpose(1, 2, 0))  # (3, m, k)
+    f, psi = y[0], y[1]
+    psi_s = kernel.ds(psi, f)
+    return (_warped_fields(kernel, first.n, first.alpha, f, psi, y[2]),
+            lambda values: kernel.laplacian(f, psi, psi_s, kernel.ds(values, f)))
 
 
 def scale_state(state: State, q: float):

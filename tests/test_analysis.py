@@ -13,12 +13,12 @@ from rhflow.analysis import (ball_volume_expansion_fit, check_gradient_bound,
                              curvature_ratio_diagnostic, fit_order,
                              geodesic_ball_volume, monitor_S_evolution,
                              parabolic_rescale, pick_blowup_points, spacetime_norms)
-from rhflow.convergence import s_residual_study
+from rhflow.convergence import s_residual_study, s_residual_temporal_study
 from rhflow.flow import FlowConfig, run
 from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState,
                              ball_volume_constant, compute_curvature, curvature_fields,
                              scale_state, sphere_area)
-from rhflow.oracles import Scenario, exact_state
+from rhflow.oracles import Scenario, default_scenario, exact_state
 from rhflow.verification import run_verification
 
 
@@ -460,8 +460,13 @@ def _pairwise_distortion(traj):
         np.array([rec.t for rec in recs]))
 
 
-def test_distortion_fast_path_matches_pairwise_scan(monkeypatch):
-    report = run_verification()
+@pytest.fixture(scope="module")
+def verify_report():
+    return run_verification()
+
+
+def test_distortion_fast_path_matches_pairwise_scan(monkeypatch, verify_report):
+    report = verify_report
     scanned = []
     scan = analysis._pairwise_distortion
     monkeypatch.setattr(analysis, "_pairwise_distortion",
@@ -505,3 +510,178 @@ def test_s_evolution_is_worst_uniform_window():
             pass
     assert len(windows) == len(traj.records) - 3
     assert monitor_S_evolution(traj) == max(windows)
+
+
+# --------------------------------------------------------------------------
+# the evolution identity on stacks of records, against the per-window form
+
+
+def reference_span(recs, k):
+    """The two t spacings around record k summed, or None unless they agree to 1e-9."""
+    d1 = recs[k].t - recs[k - 1].t
+    d2 = recs[k + 1].t - recs[k].t
+    if abs(d1 - d2) > 1e-9 * max(d1, d2):
+        return None
+    return d1 + d2
+
+
+def reference_window(recs, k):
+    """The residual of window k from the curvature fields of its three
+    records, one record at a time."""
+    if not (1 <= k <= len(recs) - 2):
+        raise ValueError(f"window index {k} needs neighbors on both sides")
+    span = reference_span(recs, k)
+    if span is None:
+        raise ValueError("snapshots are not uniformly spaced around the window")
+    f_prev, f_mid, f_next = (curvature_fields(recs[i].state) for i in (k - 1, k, k + 1))
+    dsdt = (f_next.s_flow - f_prev.s_flow) / span
+    lap_s = recs[k].state.laplacian(f_mid.s_flow)
+    alpha = recs[k].state.alpha
+    resid = dsdt - lap_s - 2.0 * f_mid.flow_tensor_sq - alpha * f_mid.lap_phi**2
+    return float(np.max(np.abs(resid)))
+
+
+def reference_windows(recs):
+    return [k for k in range(1, len(recs) - 1) if reference_span(recs, k) is not None]
+
+
+def reference_monitor(recs):
+    worst = None
+    for k in reference_windows(recs):
+        worst = max(worst or 0.0, reference_window(recs, k))
+    if worst is None:
+        raise ValueError("need at least three uniformly spaced snapshots")
+    return worst
+
+
+def same_bits(a, b):
+    return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_monitor_equals_reference(traj):
+    recs = traj.records
+    assert same_bits(monitor_S_evolution(traj), reference_monitor(recs))
+    for k in range(1, len(recs) - 1):
+        if reference_span(recs, k) is None:
+            with pytest.raises(ValueError, match="^snapshots are not uniformly spaced"):
+                monitor_S_evolution(traj, k=k)
+        else:
+            assert same_bits(monitor_S_evolution(traj, k=k), reference_window(recs, k)), k
+
+
+def test_stacked_windows_equal_the_reference_on_verify_runs(verify_report):
+    uniform = {sid: traj for (sid, name), traj in verify_report.trajectories.items()
+               if name == "uniform"}
+    assert len(uniform) == 6
+    assert isinstance(uniform["shrinking_sphere"].records[0].state, HomogeneousState)
+    for traj in uniform.values():
+        assert_monitor_equals_reference(traj)
+
+
+def test_stacked_windows_equal_the_reference_on_study_runs(monkeypatch):
+    studied = []
+    monkeypatch.setattr("rhflow.convergence.monitor_S_evolution",
+                        lambda traj: studied.append(traj) or monitor_S_evolution(traj))
+    for sid in ("perturbed_cylinder", "perturbed_torus"):
+        s_residual_study(default_scenario(sid), [32, 64, 128])
+    for sid in ("torus_list", "shrinking_sphere"):
+        s_residual_temporal_study(default_scenario(sid), [2e-3, 1e-3, 5e-4])
+    assert len(studied) == 12
+    for traj in studied:
+        assert_monitor_equals_reference(traj)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 10**6])
+def test_stacked_windows_do_not_depend_on_the_chunk(monkeypatch, verify_report, chunk):
+    monkeypatch.setattr(analysis, "S_CHUNK", chunk)
+    for key, traj in verify_report.trajectories.items():
+        try:
+            want = reference_monitor(traj.records)
+        except ValueError:  # an adaptive run without uniform windows
+            with pytest.raises(ValueError, match="^need at least three uniformly spaced"):
+                monitor_S_evolution(traj)
+        else:
+            assert same_bits(monitor_S_evolution(traj), want), key
+
+
+def nonuniform_records():
+    """A uniform run with records 8 and 11 dropped and every other record
+    after 17: the four windows around the gaps have unequal spacings, so
+    records 9 and 10 are in no uniform window, and where the spacing
+    doubles one window alone is not uniform."""
+    traj = run_scenario(default_scenario("perturbed_torus"), m=32, dt=4e-4, t_end=0.01)
+    return [rec for i, rec in enumerate(traj.records)
+            if i not in (8, 11) and (i <= 17 or i % 2)]
+
+
+def test_stacked_windows_skip_nonuniform_ones_as_the_reference_does(monkeypatch):
+    recs = nonuniform_records()
+    windows = reference_windows(recs)
+    assert [k for k in range(1, len(recs) - 1) if k not in windows] == [7, 8, 9, 10, 15]
+    assert len(recs) == 20
+    # a non-finite record that only nonuniform windows hold is never evaluated
+    y = recs[8].state.y.copy()
+    y[2, 3] = np.nan
+    recs[8] = dataclasses.replace(recs[8], state=recs[8].state.evolved(y, recs[8].t))
+    traj = SimpleNamespace(records=recs)
+    evaluated = []
+    residuals = analysis._s_residuals
+    monkeypatch.setattr(analysis, "_s_residuals",
+                        lambda recs, ks, spans: evaluated.extend(ks) or residuals(recs, ks, spans))
+    assert same_bits(monitor_S_evolution(traj), reference_monitor(recs))
+    assert evaluated == windows
+    monkeypatch.setattr(analysis, "S_CHUNK", 2)
+    evaluated.clear()
+    assert same_bits(monitor_S_evolution(traj), reference_monitor(recs))
+    assert evaluated == windows
+
+
+def test_s_evolution_errors():
+    recs = nonuniform_records()
+    traj = SimpleNamespace(records=recs)
+    for k in (0, -1, len(recs) - 1, len(recs)):
+        with pytest.raises(ValueError, match=f"^window index {k} needs neighbors on both sides$"):
+            monitor_S_evolution(traj, k=k)
+    with pytest.raises(ValueError, match="^snapshots are not uniformly spaced around the window$"):
+        monitor_S_evolution(traj, k=8)
+    with pytest.raises(ValueError, match="^need at least three uniformly spaced snapshots$"):
+        monitor_S_evolution(SimpleNamespace(records=recs[6:11]))
+    with pytest.raises(ValueError, match="^trajectory has no records$"):
+        monitor_S_evolution(SimpleNamespace(records=[]))
+    # a non-finite record in a uniform window raises, whole or by window
+    y = recs[4].state.y.copy()
+    y[2, 3] = np.inf
+    recs[4] = dataclasses.replace(recs[4], state=recs[4].state.evolved(y, recs[4].t))
+    for k in (None, 3, 4, 5):
+        with pytest.raises(ValueError, match="^non-finite value in u at grid index 3$"):
+            monitor_S_evolution(traj, k=k)
+    assert same_bits(monitor_S_evolution(traj, k=2), reference_window(recs, 2))
+
+
+def reference_volume_residual(traj):
+    """check_volume_evolution's derivative residual, one record pair at a time."""
+    recs = traj.records
+    max_resid = 0.0
+    for a, b in zip(recs, recs[1:]):
+        dt = b.t - a.t
+        if dt <= 0.0:
+            raise ValueError("record times must be strictly increasing")
+        rate = (b.monitor.volume - a.monitor.volume) / dt
+        ia, ib = a.monitor.volume_integrand, b.monitor.volume_integrand
+        avg = 0.5 * (ia + ib)
+        scale = 1.0 + max(abs(ia), abs(ib))
+        max_resid = max(max_resid, abs(rate - avg) / scale)
+    return max_resid
+
+
+def test_volume_residual_equals_the_pairwise_loop(verify_report):
+    for key, traj in verify_report.trajectories.items():
+        got, _ = check_volume_evolution(traj)
+        assert np.float64(got).tobytes() == np.float64(reference_volume_residual(traj)).tobytes(), key
+
+
+def test_volume_evolution_needs_increasing_times(torus_traj):
+    recs = list(torus_traj.records)
+    for bad in (recs[:5] + recs[4:], recs[:5] + recs[3:4] + recs[5:]):
+        with pytest.raises(ValueError, match="^record times must be strictly increasing$"):
+            check_volume_evolution(SimpleNamespace(records=bad))

@@ -410,6 +410,45 @@ def test_stage_losing_positivity_halves_the_step(monkeypatch):
     assert traj.final_t == pytest.approx(0.25, rel=1e-2)
 
 
+def test_nonfinite_u_row_halves_the_step(monkeypatch):
+    # an attempt whose result has a nan in u (positive f and psi, so
+    # evolved accepts it) is rejected by the curvature's finiteness test:
+    # _try_step reports None, and run halves the step instead of raising
+    cfg, initial = _neck_run(m=32, dt=1e-3, t_end=0.01)
+    rk4 = flow._rk4
+    poisoned = []
+
+    def nan_in_u_once(state, dt, k1=None):
+        new = rk4(state, dt, k1)
+        if poisoned:
+            return new
+        poisoned.append(dt)
+        y = new.y.copy()
+        y[2, 5] = np.nan
+        return new.evolved(y, new.t)
+
+    monkeypatch.setattr(flow, "_rk4", nan_in_u_once)
+    assert flow._try_step(initial, 1e-3) is None
+    assert flow._try_step(initial, 1e-3) is not None
+    poisoned.clear()
+    traj = run(cfg, initial)
+    assert poisoned == [1e-3]
+    assert traj.termination == "reached_t_end"
+    assert traj.records[1].t == 5e-4 and traj.records[2].t == 1.5e-3
+
+
+def test_each_accepted_state_is_tested_for_finiteness_once(monkeypatch):
+    cfg, initial = _neck_run(m=32, dt=1e-3, t_end=0.02, output_every=1)
+    tested = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x: tested.append(x) or isfinite(x))
+    traj = run(cfg, initial)
+    monkeypatch.undo()
+    assert len(traj.records) == traj.steps + 1 > 10
+    for rec in traj.records:
+        assert sum(x is rec.state.y for x in tested) == 1
+
+
 def _neck_run(m=64, t_end=0.3, **fields):
     scn = default_scenario("perturbed_cylinder")
     cfg = FlowConfig(scenario=scn.id, n=4, alpha=1.0, m=m, t_end=t_end, **fields)

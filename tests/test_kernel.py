@@ -14,7 +14,8 @@ import pytest
 from rhflow import flow
 from rhflow.flow import FlowConfig, rhs_homogeneous
 from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState,
-                             compute_curvature, compute_curvature_homogeneous, warped_kernel)
+                             compute_curvature, compute_curvature_homogeneous,
+                             stacked_curvature, warped_kernel)
 
 
 def roll_dx(values, h):
@@ -143,6 +144,84 @@ def test_bound_kernel_equals_the_per_call_kernel(fiber, m, winding):
     assert_bits(flow._k1_from_fields(state, fields), rates)
     stage = state.y + 0.01 * rates
     assert_bits(flow.rhs(state, stage), np.array(reference_rates(state, *stage)))
+
+
+STACK_CASES = [(fiber, m, winding) for fiber in Fiber for m in (8, 33, 192) for winding in (1, -2)]
+STACK_IDS = [f"{fiber.value}-m{m}-w{winding}" for fiber, m, winding in STACK_CASES]
+FIELDS = ("k_rad", "k_fib", "scalar", "ric_sq", "rm_sq", "weyl_sq", "grad_phi_sq", "lap_phi",
+          "lam0", "lam1", "s_scalar", "s_flow", "flow_tensor_sq", "ric_op")
+
+
+def state_stack(fiber, m, winding, k=5):
+    """k states of one kernel whose data differ by random factors."""
+    base = random_state(fiber, m, winding)
+    rng = np.random.default_rng([m, k])
+    return [base.evolved(base.y * np.exp(0.2 * rng.standard_normal(base.y.shape)), 0.0)
+            for _ in range(k)]
+
+
+@pytest.mark.parametrize("fiber, m, winding", STACK_CASES, ids=STACK_IDS)
+def test_kernel_on_columns_equals_each_column(fiber, m, winding):
+    # the contract the stacked monitor relies on: every kernel operation is
+    # elementwise or a gather or slice along axis 0, so an (m, k) stack of
+    # states, one per column, gives each column's one-state bits
+    states = state_stack(fiber, m, winding)
+    kernel = states[0].kernel
+    f, psi, u = (np.stack([s.y[row] for s in states], axis=1) for row in range(3))
+    values = np.cos(Grid(m).x)[:, np.newaxis] * f
+    terms = kernel.terms(f, psi, u)
+    lap = kernel.laplacian(f, psi, kernel.ds(psi, f), kernel.ds(values, f))
+    for j, s in enumerate(states):
+        for got, want in zip(terms, kernel.terms(s.f, s.psi, s.u), strict=True):
+            assert got.shape == (m, len(states))
+            assert_bits(got[:, j], want)
+        assert_bits(lap[:, j], s.laplacian(values[:, j]))
+
+
+@pytest.mark.parametrize("fiber, m, winding", STACK_CASES, ids=STACK_IDS)
+def test_stacked_curvature_columns_equal_one_state_fields(fiber, m, winding):
+    states = state_stack(fiber, m, winding)
+    fields, laplacian = stacked_curvature(states)
+    values = np.stack([np.sin(2.0 * Grid(m).x) * s.psi for s in states], axis=1)
+    lap = laplacian(values)
+    for j, s in enumerate(states):
+        one = compute_curvature(s)
+        for name in FIELDS:
+            assert_bits(getattr(fields, name)[:, j], getattr(one, name))
+        assert_bits(lap[:, j], s.laplacian(values[:, j]))
+    assert fields.max_rm == max(compute_curvature(s).max_rm for s in states)
+
+
+def test_stacked_curvature_of_homogeneous_states():
+    base = homogeneous()
+    states = [base.evolved(base.arrays() * c, 0.0) for c in (1.0, 0.8, 0.5)]
+    fields, laplacian = stacked_curvature(states)
+    for j, s in enumerate(states):
+        one = compute_curvature_homogeneous(s)
+        for name in FIELDS[:8] + FIELDS[10:]:
+            assert getattr(fields, name).shape == (1, 3)
+            assert_bits(getattr(fields, name)[:, j], getattr(one, name))
+    assert_bits(laplacian(fields.s_flow), np.zeros((1, 3)))
+
+
+def test_stacked_curvature_refuses_mixed_or_nonfinite_stacks():
+    states = state_stack(Fiber.ROUND_SPHERE, 16, 1, k=3)
+    s = states[1]
+    for other in (homogeneous(),
+                  WarpedState(s.n, s.fiber, 0.5, winding=s.winding, y=s.y.copy()),
+                  WarpedState(3, s.fiber, s.alpha, winding=s.winding, y=s.y.copy())):
+        with pytest.raises(ValueError, match="share one kind, n and alpha"):
+            stacked_curvature([states[0], other])
+    for other in (WarpedState(s.n, s.fiber, s.alpha, winding=0, y=s.y.copy()),
+                  WarpedState(s.n, Fiber.FLAT_TORUS, s.alpha, winding=s.winding, y=s.y.copy()),
+                  random_state(s.fiber, 17, s.winding)):
+        with pytest.raises(ValueError, match="share one kernel"):
+            stacked_curvature([states[0], other])
+    y = s.y.copy()
+    y[0, 7] = np.inf
+    states[2] = s.evolved(y, 0.0)
+    with pytest.raises(ValueError, match="^non-finite value in f at grid index 7$"):
+        stacked_curvature(states)
 
 
 def test_kernel_constants_are_read_only():
