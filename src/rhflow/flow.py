@@ -19,14 +19,15 @@ map slope w grow at da/dt = alpha w^2.
 
 Integration is one classical four-stage Runge-Kutta for both kinds of
 state, over the state's arrays(): one C-contiguous block, the (3, m)
-rows f, psi, u or the (1, k) coefficients.  rhs returns a rate block of
-the same shape, so each stage, its positivity test, the final
-combination, the finiteness test and the rate limiter are one array
-operation each, whatever the number of rows.  Steps obey the parabolic
-bound dt <= c_cfl * min(f h)^2 on warped grids and a relative-change
-rate limiter for the approach to blow-up, under a halve-and-retry
-policy on steps that produce non-finite values or lose positivity of
-the metric rows.
+rows f, psi, u or the (1, k) coefficients.  rhs returns state.rates, a
+rate block of the same shape, so each stage, its positivity test, the
+final combination, the finiteness test and the rate limiter are one
+array operation each, whatever the number of rows; this module never
+asks a state its kind.  Steps obey the parabolic bound
+dt <= c_cfl * state.stable_dt(), which is c_cfl * min(f h)^2 on warped
+grids and no bound on products, and a relative-change rate limiter for
+the approach to blow-up, under a halve-and-retry policy on steps that
+produce non-finite values or lose positivity of the metric rows.
 
 The parabolic bound comes from the scheme.  The second s-derivatives
 (psi_ss, phi_ss) are the nested central difference (1/f) Dx((1/f) Dx),
@@ -44,11 +45,11 @@ Steps are first-same-as-last: the curvature fields of each accepted
 state, which the blow-up test and the monitors need anyway, hold the
 Ricci eigenvalues lam0, lam1, |grad phi|^2 and Lap phi that the bound
 derivative kernel (geometry.warped_kernel) formed for them, and the next
-k1 is written from those into a new rate block with the same operations
+k1 is state.rates(..., fields), which applies to those the operations
 rhs applies to the kernel's terms, so k1 equals rhs(state) bit for bit.
-_COUPLING_SIGN is read on each call, by both.  The other three stages
-are bare blocks passed to rhs; a stage whose metric rows are not
-positive rejects the step.
+_COUPLING_SIGN is read on each call, by both, and passed in.  The other
+three stages are bare blocks passed to rhs; a stage whose metric rows
+are not positive rejects the step.
 Only the accepted state is built and validated, once, by state.evolved,
 and its finiteness is tested once, by the curvature_fields call that
 _try_step makes for it (a non-finite row there rejects the step);
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import EPS0, MonitorRecord, MonitorState, make_monitor_record
-from .geometry import Fiber, HomogeneousState, State, WarpedState, curvature_fields
+from .geometry import Fiber, State, curvature_fields
 
 # Test hook: sign applied to the map-coupling term of the metric flow.
 # Flipping it is used by the verification suite's mutation fixture.
@@ -171,56 +172,22 @@ class Trajectory:
 # right-hand sides
 
 
-def _warped_rates(state: WarpedState, f, psi, lam0, lam1, grad_phi_sq, out):
-    """The (3, m) rate block out, whose last row du/dt = Lap phi the caller
-    has written, with rows df/dt = -f (lam0 - (alpha/2)|grad phi|^2) and
-    dpsi/dt = -psi lam1 written in place from the derivative kernel's terms."""
-    df, dpsi = out[0], out[1]  # indexing: unpacking would iterate the array
-    drive = _COUPLING_SIGN * 0.5 * state.alpha * grad_phi_sq
-    np.subtract(lam0, drive, out=drive)
-    np.negative(f, out=df)
-    df *= drive
-    np.negative(psi, out=dpsi)
-    dpsi *= lam1
-    return out
-
-
 def rhs(state: State, y=None) -> np.ndarray:
     """Time derivatives of the block state.arrays(), or of an RK stage block
-    y in its place with the state's grid and parameters: the (3, m) block
-    (df/dt, dpsi/dt, du/dt) for a warped state, the (1, k) block
-    rhs_homogeneous(state) for a homogeneous one, whose rates do not depend
-    on the coefficients."""
-    if not isinstance(state, WarpedState):
-        return rhs_homogeneous(state)[np.newaxis]
-    y = state.y if y is None else y
-    f, psi, u = y[0], y[1], y[2]
-    out = np.empty(y.shape)
-    _, _, lam0, lam1, grad_phi_sq, _ = state.kernel.terms(f, psi, u, out[2])
-    return _warped_rates(state, f, psi, lam0, lam1, grad_phi_sq, out)
+    y in its place with the state's grid and parameters: state.rates, the
+    (3, m) block (df/dt, dpsi/dt, du/dt) or the (1, k) coefficient rates."""
+    return state.rates(state.arrays() if y is None else y, _COUPLING_SIGN)
 
 
 def _k1_from_fields(state: State, fields):
     """rhs(state), bit for bit, from the state's curvature fields."""
-    if isinstance(state, WarpedState):
-        out = np.empty(state.y.shape)
-        out[2] = fields.lap_phi
-        return _warped_rates(state, state.f, state.psi, fields.lam0, fields.lam1,
-                             fields.grad_phi_sq, out)
-    return rhs_homogeneous(state)[np.newaxis]
+    return state.rates(state.arrays(), _COUPLING_SIGN, fields)
 
 
-def rhs_homogeneous(state: HomogeneousState) -> np.ndarray:
-    """Coefficient rates: -2(d-1) on round factors, alpha*slope^2 on flat
-    circle factors carrying a map slope, 0 otherwise.  Slopes are
-    constant in time."""
-    rates = np.zeros(len(state.factors))
-    for k, fac in enumerate(state.factors):
-        if fac.kind is Fiber.ROUND_SPHERE:
-            rates[k] = -2.0 * (fac.dim - 1)
-        elif fac.slope != 0.0:
-            rates[k] = _COUPLING_SIGN * state.alpha * fac.slope**2
-    return rates
+def rhs_homogeneous(state: State) -> np.ndarray:
+    """Coefficient rates of a homogeneous state: -2(d-1) on round factors,
+    alpha*slope^2 on flat circle factors carrying a map slope, 0 otherwise."""
+    return rhs(state)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +225,8 @@ def _try_step(state: State, dt: float, k1=None):
 def step(state: State, dt: float):
     """One classical RK4 step.  Raises StepError if the result is
     non-finite or loses positivity of the metric coefficients."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:  # nan compares false
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     with np.errstate(all="ignore"):
         ahead = _try_step(state, dt)
     if ahead is None:
@@ -268,11 +235,10 @@ def step(state: State, dt: float):
 
 
 def _dt_bound(state: State, config: FlowConfig, k1) -> float:
-    """Step bound: fixed dt if configured, parabolic CFL on warped grids,
-    and a relative-change rate limiter on the positive coefficients."""
-    bounds = [np.inf if config.dt is None else config.dt]
-    if isinstance(state, WarpedState):
-        bounds.append(config.c_cfl * float((state.f * state.h).min() ** 2))
+    """Step bound: fixed dt if configured, the parabolic CFL bound
+    c_cfl * state.stable_dt() (infinite on products; c_cfl > 0, so never
+    nan), and a relative-change rate limiter on the positive coefficients."""
+    bounds = [np.inf if config.dt is None else config.dt, config.c_cfl * state.stable_dt()]
     # rate_limit / max equals the least per-row bound rate_limit / row max
     # exactly: correctly rounded division is monotone in the divisor
     rows = slice(state.positive)

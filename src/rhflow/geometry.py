@@ -27,7 +27,11 @@ All s-derivatives are taken with second-order periodic central
 differences; second derivatives use the nested form (1/f) Dx((1/f) Dx).
 Homogeneous product states (one coefficient per factor) provide the
 closed-form oracle substrate.  Both kinds share the interface that the
-flow and the monitors use (arrays, evolved, length_volume, integrate, ...).
+flow and the monitors use (arrays, evolved, length_volume, integrate, ...),
+the flow's rate law included: rates(y, sign, fields) gives the time
+derivatives of a block y and stable_dt() the parabolic step bound per
+unit c_cfl (infinite for products), so the flow never asks a state its
+kind.
 """
 from __future__ import annotations
 
@@ -305,6 +309,33 @@ class WarpedState:
         kernel, f = self.kernel, self.f
         return kernel.laplacian(f, self.psi, kernel.ds(self.psi, f), kernel.ds(values, f))
 
+    def rates(self, y: np.ndarray, sign: float, fields=None) -> np.ndarray:
+        """The (3, m) rate block of a block y (this state's own or an RK stage)
+        on this state's grid: df/dt = -f (lam0 - sign (alpha/2)|grad phi|^2),
+        dpsi/dt = -psi lam1, du/dt = Lap phi, with sign the map-coupling sign.
+        The terms come from the derivative kernel, or from fields, the
+        curvature fields of y, when given: the same bits either way."""
+        f, psi = y[0], y[1]
+        out = np.empty(y.shape)
+        if fields is None:
+            _, _, lam0, lam1, grad_phi_sq, _ = self.kernel.terms(f, psi, y[2], out[2])
+        else:
+            lam0, lam1, grad_phi_sq = fields.lam0, fields.lam1, fields.grad_phi_sq
+            out[2] = fields.lap_phi
+        df, dpsi = out[0], out[1]  # indexing: unpacking would iterate the array
+        drive = sign * 0.5 * self.alpha * grad_phi_sq
+        np.subtract(lam0, drive, out=drive)
+        np.negative(f, out=df)
+        df *= drive
+        np.negative(psi, out=dpsi)
+        dpsi *= lam1
+        return out
+
+    def stable_dt(self) -> float:
+        """The parabolic step bound per unit c_cfl, min(f h)^2: the nested
+        second difference's spectral radius is at most 1/min(f h)^2."""
+        return float((self.f * self.h).min() ** 2)
+
 
 @dataclass(frozen=True)
 class Factor:
@@ -408,6 +439,23 @@ class HomogeneousState:
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Zero: every field on a homogeneous state is constant."""
         return np.zeros_like(values)
+
+    def rates(self, y: np.ndarray, sign: float, fields=None) -> np.ndarray:
+        """The (1, k) coefficient rates: -2(d-1) on round factors,
+        sign*alpha*slope^2 on flat circle factors carrying a map slope, 0
+        otherwise.  Slopes are constant in time, so the rates depend on
+        neither y nor fields."""
+        rates = np.zeros(len(self.factors))
+        for k, fac in enumerate(self.factors):
+            if fac.kind is Fiber.ROUND_SPHERE:
+                rates[k] = -2.0 * (fac.dim - 1)
+            elif fac.slope != 0.0:
+                rates[k] = sign * self.alpha * fac.slope**2
+        return rates[np.newaxis]
+
+    def stable_dt(self) -> float:
+        """No parabolic step bound: a product has no spatial operator."""
+        return math.inf
 
 
 State = WarpedState | HomogeneousState

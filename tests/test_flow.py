@@ -72,6 +72,19 @@ def test_step_rejects_overstep():
             step(state, -1e-3)
 
 
+# nan and inf pass a `<= 0` test; a step of either size is a caller's error,
+# not a rejected step
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("scn, representation", [
+    (Scenario("shrinking_cylinder", 4, 0.0), "warped"),
+    (Scenario("shrinking_sphere", 3, 0.0), "homogeneous"),
+], ids=["warped", "homogeneous"])
+def test_step_refuses_non_finite_dt(dt, scn, representation):
+    state = exact_state(scn, 0.0, 16, representation)
+    with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {dt}$"):
+        step(state, dt)
+
+
 def test_run_flat_reaches_t_end_unchanged():
     cfg = FlowConfig(scenario="flat_stationary", n=4, alpha=1.0,
                      fiber=Fiber.FLAT_TORUS, m=16, dt=5e-3, t_end=1.0,
@@ -370,12 +383,15 @@ def test_alpha_zero_decouples_the_map():
     assert np.max(np.abs(traj.final_state.u)) < 0.7 * np.max(np.abs(initial.u))
 
 
-@pytest.mark.parametrize("state", [
+WARPED_STATES = [
     WarpedState(2, Fiber.FLAT_TORUS, 1.0, 1.0 + 0.05 * np.sin(Grid(32).x),
                 1.0 + 0.1 * np.cos(Grid(32).x), winding=2, u=0.1 * np.sin(2 * Grid(32).x)),
     WarpedState(4, Fiber.ROUND_SPHERE, 1.0, 1.0 + 0.05 * np.cos(Grid(32).x),
                 1.0 + 0.05 * np.sin(Grid(32).x), u=0.2 * np.cos(Grid(32).x)),
-], ids=["winding", "round_fiber"])
+]
+
+
+@pytest.mark.parametrize("state", WARPED_STATES, ids=["winding", "round_fiber"])
 def test_rhs_equals_curvature_fields_k1_bitwise(state):
     # run takes each step's k1 from the curvature fields of the state it
     # starts from; a resumed run repeats an uninterrupted one bit for bit
@@ -383,6 +399,32 @@ def test_rhs_equals_curvature_fields_k1_bitwise(state):
     fields_k1 = flow._k1_from_fields(state, curvature_fields(state))
     for got, want in zip(rhs(state), fields_k1):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("state", [
+    *WARPED_STATES,
+    HomogeneousState(4, 2.0, (Factor(1.5, Fiber.FLAT_TORUS, 1, slope=2.0),
+                              Factor(3.0, Fiber.ROUND_SPHERE, 3))),
+], ids=["winding", "round_fiber", "homogeneous"])
+def test_rates_from_fields_equal_rates_from_the_kernel_bitwise(state, sign):
+    # on a stage block, not the state's own: the fields of the state that
+    # adopts the block give the kernel's rates of that block, either sign
+    y = state.arrays() + 0.01 * rhs(state)
+    fields = curvature_fields(state.evolved(y, state.t))
+    assert state.rates(y, sign, fields).tobytes() == state.rates(y, sign).tobytes()
+
+
+def test_a_product_at_rest_has_no_step_bound():
+    # flat factors without a slope do not move, and no parabolic bound
+    # applies: c_cfl * stable_dt() is inf, not nan, and one step lands on t_end
+    state = HomogeneousState(3, 1.0, (Factor(1.0, Fiber.FLAT_TORUS, 1),
+                                      Factor(2.0, Fiber.FLAT_TORUS, 2)))
+    cfg = FlowConfig(scenario="flat_stationary", n=3, alpha=1.0, t_end=1.0)
+    assert state.stable_dt() == math.inf
+    assert flow._dt_bound(state, cfg, rhs(state)) == math.inf
+    traj = run(cfg, state)
+    assert (traj.termination, traj.steps, traj.final_t) == ("reached_t_end", 1, 1.0)
 
 
 def test_stage_losing_positivity_halves_the_step(monkeypatch):
