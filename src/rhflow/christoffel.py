@@ -43,32 +43,44 @@ def _fiber_metric(kind: Fiber, d: int, y: np.ndarray) -> np.ndarray:
     return np.eye(d)
 
 
-def _metric(state: WarpedState, x_roll: int, y: np.ndarray) -> np.ndarray:
-    """Coordinate metric at every grid point shifted by x_roll steps,
-    at fiber point y.  Shape (m, n, n)."""
+def _metric_of(state: WarpedState):
+    """metric(x_roll, y): the coordinate metric at every grid point shifted
+    by x_roll (-1, 0 or 1) steps, at fiber point y.  Shape (m, n, n).
+    f and psi are rolled once per shift and each fiber metric is built
+    once per fiber point, keyed by the exact floats of y, for as long as
+    the returned function lives: one oracle call.  The (m, n, n) metrics
+    themselves are not kept; the 183 of one n=4 call would hold 4.5 MB at
+    m=192."""
     m, n = state.m, state.n
-    f = np.roll(state.f, -x_roll)
-    psi = np.roll(state.psi, -x_roll)
-    g = np.zeros((m, n, n))
-    g[:, 0, 0] = f**2
-    gf = _fiber_metric(state.fiber, n - 1, y)
-    g[:, 1:, 1:] = psi[:, None, None] ** 2 * gf[None, :, :]
-    return g
+    squares = {s: (np.roll(state.f, -s) ** 2, np.roll(state.psi, -s) ** 2) for s in (-1, 0, 1)}
+    fiber_metrics = {}
+
+    def metric(x_roll: int, y: np.ndarray) -> np.ndarray:
+        point = y.tobytes()
+        gf = fiber_metrics.get(point)
+        if gf is None:
+            gf = fiber_metrics[point] = _fiber_metric(state.fiber, n - 1, y)
+        f_sq, psi_sq = squares[x_roll]
+        g = np.zeros((m, n, n))
+        g[:, 0, 0] = f_sq
+        g[:, 1:, 1:] = psi_sq[:, None, None] * gf[None, :, :]
+        return g
+
+    return metric
 
 
-def _christoffel(state: WarpedState, y: np.ndarray) -> np.ndarray:
-    """Gamma^k_{ij} at all grid points for fiber point y: (m, n, n, n)."""
-    n = state.n
-    h = state.h
-    g = _metric(state, 0, y)
+def _christoffel(metric, n: int, h: float, y: np.ndarray) -> np.ndarray:
+    """Gamma^k_{ij} at all grid points for fiber point y: (m, n, n, n),
+    from the memoised metric of _metric_of."""
+    g = metric(0, y)
     dg = np.empty((n,) + g.shape)
-    dg[0] = (_metric(state, 1, y) - _metric(state, -1, y)) / (2.0 * h)
+    dg[0] = (metric(1, y) - metric(-1, y)) / (2.0 * h)
     for d in range(n - 1):
         acc = np.zeros_like(g)
         for off, w in zip(_OFFSETS, _WEIGHTS):
             yo = y.copy()
             yo[d] += off * _DELTA
-            acc += w * _metric(state, 0, yo)
+            acc += w * metric(0, yo)
         dg[d + 1] = acc / _DELTA
     # A[p, a, b, c] = partial_a g_{bc}
     A = np.moveaxis(dg, 0, 1)
@@ -80,8 +92,9 @@ def _christoffel(state: WarpedState, y: np.ndarray) -> np.ndarray:
 def _riemann_and_metric(state: WarpedState):
     n = state.n
     h = state.h
+    metric = _metric_of(state)
     y0 = _base_point(n - 1, state.fiber)
-    gam = _christoffel(state, y0)
+    gam = _christoffel(metric, n, h, y0)
 
     dgam = np.empty((n,) + gam.shape)
     dgam[0] = (np.roll(gam, -1, axis=0) - np.roll(gam, 1, axis=0)) / (2.0 * h)
@@ -90,7 +103,7 @@ def _riemann_and_metric(state: WarpedState):
         for off, w in zip(_OFFSETS, _WEIGHTS):
             yo = y0.copy()
             yo[d] += off * _DELTA
-            acc += w * _christoffel(state, yo)
+            acc += w * _christoffel(metric, n, h, yo)
         dgam[d + 1] = acc / _DELTA
 
     # dG[p, i, l, j, k] = partial_i Gamma^l_{jk}
@@ -102,8 +115,7 @@ def _riemann_and_metric(state: WarpedState):
     # R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{im}Gamma^m_{jk}
     #             - Gamma^l_{jm}Gamma^m_{ik}
     riem = term1 - term2 + quad1 - quad2
-    g = _metric(state, 0, y0)
-    return riem, g
+    return riem, metric(0, y0)
 
 
 def oracle_ricci(state: WarpedState) -> np.ndarray:
@@ -116,8 +128,8 @@ def oracle_ricci(state: WarpedState) -> np.ndarray:
 def oracle_ricci_eigenvalues(state: WarpedState) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal Ricci eigenvalues (radial direction, first fiber
     direction) over the grid, for cross-checking the reduced flow."""
-    ric = oracle_ricci(state)
-    g = _metric(state, 0, _base_point(state.n - 1, state.fiber))
+    riem, g = _riemann_and_metric(state)
+    ric = np.einsum("piijk->pjk", riem)
     return ric[:, 0, 0] / g[:, 0, 0], ric[:, 1, 1] / g[:, 1, 1]
 
 

@@ -370,9 +370,14 @@ class Factor:
         return (self.dim - 1) * self.kind.curvature / self.coeff
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomogeneousState:
-    """Product metric with constant coefficients, used for closed forms."""
+    """Product metric with constant coefficients, used for closed forms.
+
+    The (1, k) block that arrays() returns is built once, read-only, from
+    the factors; the state is frozen, so the factors cannot be rebound
+    under it: build a new state with evolved() instead.
+    """
 
     n: int
     alpha: float
@@ -380,13 +385,20 @@ class HomogeneousState:
     t: float = 0.0
 
     def __post_init__(self):
-        self.factors = tuple(self.factors)
+        vars(self)["factors"] = tuple(self.factors)
         if self.n < 2:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
         _check_alpha(self.alpha)
         total = sum(fac.dim for fac in self.factors)
         if total != self.n:
             raise ValueError(f"factor dimensions sum to {total}, expected n={self.n}")
+        block = self.coefficients()[np.newaxis]
+        block.flags.writeable = False
+        vars(self)["_block"] = block
+
+    # copy and pickle rebuild the state, and with it a read-only block
+    def __reduce__(self):
+        return HomogeneousState, (self.n, self.alpha, self.factors, self.t)
 
     def copy(self) -> "HomogeneousState":
         return HomogeneousState(self.n, self.alpha, self.factors, self.t)
@@ -399,8 +411,8 @@ class HomogeneousState:
     positive = 1  # the coefficients must stay positive
 
     def arrays(self) -> np.ndarray:
-        """The evolving data: a (1, k) block of the factor coefficients."""
-        return self.coefficients()[np.newaxis]
+        """The evolving data: the (1, k) block of the factor coefficients."""
+        return self._block
 
     def evolved(self, y: np.ndarray, t: float) -> "HomogeneousState":
         """A validated state with the (1, k) block y as its arrays() at time t."""

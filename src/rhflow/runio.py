@@ -6,6 +6,9 @@ line-delimited JSON time-series format, and float64 .npz snapshots (one
 file per run leg) chosen so checkpointed state round-trips bit-exactly
 for resume.  Snapshot files, checkpoints and manifests are replaced
 atomically.  This module alone names, writes and reads a run directory.
+
+PyYAML is imported in load_config, the only reader of a config file, so
+the library, `rhflow verify` and `rhflow converge` start without it.
 """
 from __future__ import annotations
 
@@ -18,7 +21,6 @@ from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .analysis import MonitorState
@@ -131,6 +133,7 @@ def parse_config(raw: dict) -> tuple[FlowConfig, State]:
 
 def load_config(path) -> tuple[FlowConfig, State]:
     """parse_config of a YAML config file: the run's (config, initial state)."""
+    import yaml  # here, not at module level: see the module docstring
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)

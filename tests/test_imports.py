@@ -5,18 +5,21 @@ from pathlib import Path
 
 import rhflow
 
-# Runs with scipy blocked: a None entry in sys.modules makes every
-# `import scipy...` raise ImportError, so rhflow must neither import scipy at
-# module level nor reach for it in the ball-volume fit or a flow run.
+# Runs with one module blocked (sys.argv[1]): a None entry in sys.modules
+# makes every `import <name>...` raise ImportError, so rhflow must neither
+# import it at module level nor reach for it in the ball-volume fit or a
+# flow run.  scipy is a test-only dependency; PyYAML is read only by
+# runio.load_config, which neither of these paths calls.
 SCRIPT = """
 import importlib, math, pkgutil, sys
-sys.modules["scipy"] = None
+blocked = sys.argv[1]
+sys.modules[blocked] = None
 import numpy as np
 import rhflow
 for mod in pkgutil.iter_modules(rhflow.__path__):
     importlib.import_module("rhflow." + mod.name)
 loaded = [key for key, value in sys.modules.items()
-          if (key == "scipy" or key.startswith("scipy.")) and value is not None]
+          if (key == blocked or key.startswith(blocked + ".")) and value is not None]
 assert not loaded, loaded
 from rhflow import Factor, Fiber, FlowConfig, HomogeneousState, Scenario, exact_state, run
 from rhflow.analysis import ball_volume_expansion_fit
@@ -31,10 +34,18 @@ print("ok")
 """
 
 
-def test_rhflow_runs_without_scipy():
+def run_blocked(name):
     src = str(Path(rhflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, name], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_rhflow_runs_without_scipy():
+    run_blocked("scipy")
+
+
+def test_rhflow_runs_without_yaml():
+    run_blocked("yaml")

@@ -376,3 +376,19 @@ def test_block_is_the_one_owner_of_the_data():
         assert other.y.tobytes() == state.y.tobytes() and other.t == state.t
         other.psi[3] = 5.0
         assert other.arrays()[1, 3] == 5.0 and state.psi[3] != 5.0
+
+
+def test_homogeneous_block_is_built_once():
+    state = homogeneous()
+    y = state.arrays()
+    assert y is state.arrays() and y.shape == (1, 2)
+    assert y.tobytes() == state.coefficients()[np.newaxis].tobytes()
+    with pytest.raises(AttributeError):
+        state.factors = state.factors[::-1]
+    with pytest.raises(ValueError):
+        y[0, 0] = 3.0
+    evolved = state.evolved(2.0 * y, 0.5)
+    assert evolved.arrays().tobytes() == (2.0 * y).tobytes()
+    for other in (state.copy(), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert other == state and other.arrays().tobytes() == y.tobytes()
+        assert not other.arrays().flags.writeable
