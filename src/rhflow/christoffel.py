@@ -118,13 +118,6 @@ def _riemann_and_metric(state: WarpedState):
     return riem, metric(0, y0)
 
 
-def oracle_ricci(state: WarpedState) -> np.ndarray:
-    """Coordinate Ricci tensor at every grid point, (m, n, n), from the
-    numeric pipeline (fiber point fixed at the chart base point)."""
-    riem, _ = _riemann_and_metric(state)
-    return np.einsum("piijk->pjk", riem)
-
-
 def oracle_ricci_eigenvalues(state: WarpedState) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal Ricci eigenvalues (radial direction, first fiber
     direction) over the grid, for cross-checking the reduced flow."""

@@ -282,15 +282,17 @@ def run(config: FlowConfig, initial: State, *,
     checkpoint; stop_after_steps, which must exceed steps_done,
     interrupts the run once it has taken that many steps in all, without
     terminating it (the trajectory then has termination None).  The
-    initial state must lie below blowup_threshold and before t_end.
+    initial state must lie below blowup_threshold and before t_end, and a
+    fresh leg's first step bound above the step floor.
     """
     if stop_after_steps is not None and stop_after_steps <= steps_done:
         raise ValueError(f"stop_after_steps {stop_after_steps} must exceed the "
                          f"{steps_done} steps already done")
     state = initial.copy()
+    fresh = monitor_state is None
     try:  # Python-float arithmetic on extreme data raises OverflowError
         fields = curvature_fields(state)
-        if monitor_state is None:
+        if fresh:
             monitor_state = MonitorState.start(state, fields, config.eps0)
     except OverflowError as exc:
         raise ValueError(f"initial state out of floating-point range: {exc}") from exc
@@ -301,6 +303,15 @@ def run(config: FlowConfig, initial: State, *,
     tol = 1e-12 * max(1.0, abs(t_end))
     if state.t >= t_end - tol:
         raise ValueError(f"t_end {t_end:g} must exceed the initial t {state.t:g}")
+    if fresh:  # a first step at the floor is a config that never steps, not a non-finite flow
+        with np.errstate(all="ignore"):
+            k1 = _k1_from_fields(state, fields)
+            bound = _dt_bound(state, config, k1) if np.isfinite(k1).all() else math.inf
+        floor = _STEP_FLOOR * max(1.0, abs(state.t))
+        if bound <= floor:
+            raise ValueError(f"the first step bound {bound:g} is at or below the step floor "
+                             f"{floor:g} (c_cfl {config.c_cfl:g}, rate_limit "
+                             f"{config.rate_limit:g})")
 
     def record() -> FlowRecord:
         return FlowRecord(state, make_monitor_record(state, fields, monitor_state), steps)

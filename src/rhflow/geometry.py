@@ -27,7 +27,7 @@ All s-derivatives are taken with second-order periodic central
 differences; second derivatives use the nested form (1/f) Dx((1/f) Dx).
 Homogeneous product states (one coefficient per factor) provide the
 closed-form oracle substrate.  Both kinds share the interface that the
-flow and the monitors use (arrays, evolved, length_volume, integrate, ...),
+flow and the monitors use (arrays, evolved, length_volume, integrator, ...),
 the flow's rate law included: rates(y, sign, fields) gives the time
 derivatives of a block y and stable_dt() the parabolic step bound per
 unit c_cfl (infinite for products), so the flow never asks a state its
@@ -280,13 +280,10 @@ class WarpedState:
         caller holds one, spares making another."""
         return self.h * float(self.f.sum()), (integrate or self.integrator())(1.0)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """int values dmu over the manifold."""
-        return self.integrator()(values)
-
     def integrator(self):
-        """integrate, with fiber_volume * h and psi^{n-1} taken once from the arrays
-        as they are now: for several fields of one state, not past an in-place edit."""
+        """values -> int values dmu over the manifold, with fiber_volume * h and
+        psi^{n-1} taken once from the arrays as they are now: for several fields
+        of one state, not past an in-place edit."""
         scale = fiber_volume(self.n - 1, self.fiber) * self.h
         f, weight = self.f, self.psi ** (self.n - 1)
         return lambda values: scale * float((values * f * weight).sum())
@@ -427,12 +424,9 @@ class HomogeneousState:
             vol *= fiber_volume(fac.dim, fac.kind) * fac.coeff ** (fac.dim / 2.0)
         return TWO_PI * math.sqrt(self.factors[0].coeff), vol
 
-    def integrate(self, values: np.ndarray) -> float:
-        """int values dmu of a constant (length-1) field."""
-        return self.integrator()(values)
-
     def integrator(self):
-        """integrate, with the volume taken once."""
+        """values -> int values dmu of a constant (length-1) field, with the
+        volume taken once."""
         vol = self.length_volume()[1]
         return lambda values: float(values[0]) * vol
 

@@ -168,6 +168,10 @@ SETUP_CONFIG = "scenario: {}\nn: {}\nalpha: 1.0\nt_end: 0.01\nm: 16\n{}\n"
     FLAT_CONFIG.replace("t_end: 0.1", "t_end: .nan"),
     FLAT_CONFIG.replace("m: 16", "m: 4"),
     CYLINDER_CONFIG.replace("dt: 1.0e-3", "dt: 1.0e-16"),
+    # a first step bound at the floor: the CFL bound, or the rate limiter on
+    # the cylinder's nonzero rates
+    CYLINDER_CONFIG + "c_cfl: 1.0e-300\n",
+    CYLINDER_CONFIG + "rate_limit: 1.0e-300\n",
     # set-up overflows a Python float: in the closed form or in the initial fields
     CYLINDER_CONFIG.replace("psi0: 1.0", "psi0: 1.0e200"),
     SETUP_CONFIG.format("shrinking_sphere", 3, "params: {a0: 1.0e-200}"),
@@ -177,7 +181,8 @@ SETUP_CONFIG = "scenario: {}\nn: {}\nalpha: 1.0\nt_end: 0.01\nm: 16\n{}\n"
         "flat_stationary", "shrinking_sphere", "shrinking_cylinder", "perturbed_cylinder")),
 ], ids=["torus_list_n3", "unread_winding", "threshold_below_initial_rm",
         "snapshots_off_the_record_cadence", "c_cfl_above_rk4_limit", "t_end_nan",
-        "grid_too_small", "dt_below_step_floor", "psi0_squared_overflows",
+        "grid_too_small", "dt_below_step_floor", "cfl_bound_below_step_floor",
+        "rate_bound_below_step_floor", "psi0_squared_overflows",
         "sphere_curvature_overflows", "sphere_volume_overflows", "winding_squared_overflows",
         "flat_n400", "sphere_n400", "cylinder_n400", "perturbed_cylinder_n400"])
 def test_bad_scenario_input_exits_2_without_output(tmp_path, capsys, text):

@@ -240,7 +240,7 @@ def test_state_interface(state):
     assert type(back) is type(state) and back.t == 0.5
     assert all(np.array_equal(a, b) for a, b in zip(back.arrays(), arrays))
     ones = np.ones_like(arrays[0])
-    assert state.integrate(ones) == state.length_volume()[1]
+    assert state.integrator()(ones) == state.length_volume()[1]
     assert np.all(state.laplacian(ones) == 0.0)
 
 
