@@ -77,6 +77,8 @@ class MonitorRecord:
 class MonitorState:
     """Running accumulators the integrator carries between steps."""
 
+    INTEGRALS = ("acc_r", "acc_w", "prev_ir", "prev_iw")  # +inf once they overflow; never nan
+
     min_s0: float
     sup_r: float
     acc_r: float
@@ -88,7 +90,8 @@ class MonitorState:
 
     @classmethod
     def start(cls, state: State, fields: CurvatureFields, eps0: float = EPS0):
-        ir, iw = curvature_power_integrals(fields, state.integrator())
+        with np.errstate(over="ignore", invalid="ignore"):
+            ir, iw = curvature_power_integrals(fields, state.integrator())
         return cls(min_s0=float(fields.s_scalar.min()),
                    sup_r=float(fields.scalar.max()),
                    acc_r=0.0, acc_w=0.0, prev_t=state.t,
@@ -102,7 +105,7 @@ class MonitorState:
         return self._kept[1]
 
     def update(self, state: State, fields: CurvatureFields):
-        """Advance accumulators to the state's time (call once per step)."""
+        """Advance accumulators to the state's time (once per step, overflow warnings off)."""
         dt = state.t - self.prev_t
         ir, iw = curvature_power_integrals(fields, self.integrator(state))
         self.acc_r += 0.5 * (self.prev_ir + ir) * dt
@@ -112,9 +115,12 @@ class MonitorState:
 
 
 def curvature_power_integrals(fields: CurvatureFields, integrate) -> tuple[float, float]:
-    """(int |R|^p dmu, int |W|^p dmu) with p = (n+2)/2, by the state's integrator."""
+    """(int |R|^p dmu, int |W|^p dmu) with p = (n+2)/2, by the state's integrator.
+    One beyond float64 reads +inf, as does the nan of an inf power times a weight
+    psi^{n-1} that underflowed to 0; call it with overflow warnings off."""
     p = (fields.n + 2) / 2.0
-    return integrate(np.abs(fields.scalar) ** p), integrate(np.abs(fields.weyl_sq) ** (p / 2.0))
+    ir, iw = integrate(np.abs(fields.scalar) ** p), integrate(np.abs(fields.weyl_sq) ** (p / 2.0))
+    return (math.inf if math.isnan(ir) else ir), (math.inf if math.isnan(iw) else iw)
 
 
 def make_monitor_record(state: State, fields: CurvatureFields,
@@ -170,9 +176,9 @@ def monitor_S_evolution(traj, k: int | None = None) -> float:
 
     Consecutive uniform windows go in chunks of at most S_CHUNK, each one
     geometry.stacked_curvature pass over its S_CHUNK + 2 records (k= is a
-    chunk of one), so memory is bounded by a few dozen (m, S_CHUNK + 2)
-    arrays, about 1.5 MB at m = 192, whatever the trajectory's length.
-    Each residual equals its window's own three-record evaluation bit for bit.
+    chunk of one) that forms the identity's three terms alone, so memory is
+    bounded by about a dozen (m, S_CHUNK + 2) arrays, 0.7 MB at m = 192, for
+    any trajectory length.  Each residual equals its window's three-record evaluation bit for bit.
     """
     recs = _records(traj)
     times = np.array([rec.t for rec in recs])
@@ -201,12 +207,11 @@ def _s_residuals(recs, ks: np.ndarray, spans: np.ndarray) -> list[float]:
     """Sup-norm residuals of the consecutive windows ks (spans[k - 1] the
     time span of window k), from one stacked pass over their records."""
     states = [rec.state for rec in recs[ks[0] - 1:ks[-1] + 2]]
-    fields, laplacian = stacked_curvature(states)
-    s_flow, mid = fields.s_flow, slice(1, -1)
+    s_flow, flow_tensor_sq, lap_phi, laplacian = stacked_curvature(states)
     dsdt = (s_flow[:, 2:] - s_flow[:, :-2]) / spans[ks - 1]
-    lap_s = laplacian(s_flow)[:, mid]
-    resid = (dsdt - lap_s - 2.0 * fields.flow_tensor_sq[:, mid]
-             - states[0].alpha * fields.lap_phi[:, mid]**2)
+    lap_s = laplacian(s_flow)[:, 1:-1]
+    resid = (dsdt - lap_s - 2.0 * flow_tensor_sq[:, 1:-1]
+             - states[0].alpha * lap_phi[:, 1:-1]**2)
     return np.max(np.abs(resid), axis=0).tolist()
 
 

@@ -248,10 +248,10 @@ def _dt_bound(state: State, config: FlowConfig, k1) -> float:
     return min(bounds)
 
 
-def _advance(state: State, fields, config: FlowConfig):
-    """The next accepted state and its curvature fields, or None when the
-    flow cannot be continued: a non-finite k1, every halving of the step
-    rejected, or a non-finite max|Rm| of the accepted state."""
+def _advance(state: State, fields, config: FlowConfig, monitor_state: MonitorState):
+    """The next accepted state and its curvature fields, monitor_state advanced
+    to it, or None when the flow cannot be continued: a non-finite k1, every
+    halving of the step rejected, or a non-finite max|Rm| of the accepted state."""
     with np.errstate(all="ignore"):
         k1 = _k1_from_fields(state, fields)
         if not np.isfinite(k1).all():
@@ -262,7 +262,10 @@ def _advance(state: State, fields, config: FlowConfig):
                 return None
             ahead = _try_step(state, dt, k1)
             if ahead is not None:
-                return ahead if math.isfinite(ahead[1].max_rm) else None
+                if not math.isfinite(ahead[1].max_rm):
+                    return None
+                monitor_state.update(*ahead)
+                return ahead
             dt *= 0.5
     return None
 
@@ -325,7 +328,7 @@ def run(config: FlowConfig, initial: State, *,
             records.append(record())
         if termination or steps == stop_after_steps:
             break
-        ahead = _advance(state, fields, config)
+        ahead = _advance(state, fields, config, monitor_state)
         if ahead is None:
             termination = "nonfinite"
             if steps % config.output_every:
@@ -333,7 +336,6 @@ def run(config: FlowConfig, initial: State, *,
             break
         state, fields = ahead
         steps += 1
-        monitor_state.update(state, fields)
 
     final = records[-1] if records and records[-1].step == steps else record()
     return Trajectory(records, termination, config, final, monitor_state)

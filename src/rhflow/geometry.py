@@ -36,7 +36,6 @@ kind.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache, cached_property
@@ -149,6 +148,12 @@ class WarpedKernel:
         lam1 = self.n2 * k_fib
         lam1 += k_rad
         return k_rad, k_fib, self.n1 * k_rad, lam1, np.square(phi_s), lap_phi
+
+    def scalar(self, k_rad, k_fib) -> np.ndarray:
+        """R = 2(n-1) K_rad + (n-1)(n-2) K_fib."""
+        scalar = self.r_rad * k_rad
+        scalar += self.r_fib * k_fib
+        return scalar
 
 
 @cache
@@ -486,8 +491,6 @@ class CurvatureFields:
     homogeneous builder sets all four itself and gives no lam0, lam1.
     """
 
-    k_rad: np.ndarray
-    k_fib: np.ndarray
     scalar: np.ndarray
     ric_sq: np.ndarray
     rm_sq: np.ndarray
@@ -509,11 +512,11 @@ class CurvatureFields:
 
     @cached_property
     def s_flow(self) -> np.ndarray:
-        return self.scalar - 0.5 * self.alpha * self.grad_phi_sq
+        return _flow_scalar(self.scalar, self.alpha, self.grad_phi_sq)
 
     @cached_property
     def flow_tensor_sq(self) -> np.ndarray:
-        return (self.lam0 - 0.5 * self.alpha * self.grad_phi_sq) ** 2 + (self.n - 1) * self.lam1**2
+        return _flow_tensor_sq(self.n, self.alpha, self.lam0, self.lam1, self.grad_phi_sq)
 
     @cached_property
     def ric_op(self) -> np.ndarray:
@@ -524,6 +527,16 @@ class CurvatureFields:
         return float(self.ric_op.max())
 
 
+def _flow_scalar(scalar, alpha: float, grad_phi_sq):
+    """Sigma = R - (alpha/2)|grad phi|^2."""
+    return scalar - 0.5 * alpha * grad_phi_sq
+
+
+def _flow_tensor_sq(n: int, alpha: float, lam0, lam1, grad_phi_sq):
+    """|Sigma_ij|^2 = (lam0 - (alpha/2)|grad phi|^2)^2 + (n-1) lam1^2."""
+    return (lam0 - 0.5 * alpha * grad_phi_sq) ** 2 + (n - 1) * lam1**2
+
+
 def _weyl_sq(n: int, rm_sq, ric_sq, scalar_sq):
     # Orthogonal decomposition of Rm; identically zero for n <= 3.
     if n <= 3:
@@ -531,36 +544,26 @@ def _weyl_sq(n: int, rm_sq, ric_sq, scalar_sq):
     return rm_sq - 4.0 / (n - 2) * ric_sq + 2.0 / ((n - 1) * (n - 2)) * scalar_sq
 
 
-def _warped_fields(kernel: WarpedKernel, n: int, alpha: float, f, psi, u) -> CurvatureFields:
-    """The curvature fields of warped data f, psi, u: the rows of one state,
-    or (m, k) arrays with one state per column."""
-    k_rad, k_fib, lam0, lam1, grad_phi_sq, lap_phi = kernel.terms(f, psi, u)
-    scalar = kernel.r_rad * k_rad
-    scalar += kernel.r_fib * k_fib
+def compute_curvature(state: WarpedState) -> CurvatureFields:
+    """All curvature/coupling fields of a warped state, in closed form."""
+    _check_finite(state.ROWS, state.y)
+    kernel, n = state.kernel, state.n
+    k_rad, k_fib, lam0, lam1, grad_phi_sq, lap_phi = kernel.terms(state.f, state.psi, state.u)
+    scalar = kernel.scalar(k_rad, k_fib)
     ric_sq = kernel.n1 * np.square(lam1)
     ric_sq += np.square(lam0)
     rm_sq = kernel.rm_rad * np.square(k_rad)
     rm_sq += kernel.rm_fib * np.square(k_fib)
     weyl_sq = _weyl_sq(n, rm_sq, ric_sq, np.square(scalar))
-    return CurvatureFields(k_rad, k_fib, scalar, ric_sq, rm_sq, weyl_sq, grad_phi_sq, lap_phi,
-                           n, alpha, lam0, lam1)
-
-
-def compute_curvature(state: WarpedState) -> CurvatureFields:
-    """All curvature/coupling fields of a warped state, in closed form."""
-    _check_finite(state.ROWS, state.y)
-    return _warped_fields(state.kernel, state.n, state.alpha, state.f, state.psi, state.u)
+    return CurvatureFields(scalar, ric_sq, rm_sq, weyl_sq, grad_phi_sq, lap_phi,
+                           n, state.alpha, lam0, lam1)
 
 
 def compute_curvature_homogeneous(state: HomogeneousState) -> CurvatureFields:
     """Curvature of a product of round spheres and flat tori (constant).
 
     Flat factors contribute zero curvature; a round S^k factor with
-    coefficient a has sectional curvature 1/a within the factor.  The
-    k_rad/k_fib slots are filled only for layouts matching the warped
-    ansatz (single factor, or flat circle base times a fiber factor);
-    other products get zeros there, the scalar invariants are always
-    exact.
+    coefficient a has sectional curvature 1/a within the factor.
     """
     n = state.n
     alpha = state.alpha
@@ -583,22 +586,12 @@ def compute_curvature_homogeneous(state: HomogeneousState) -> CurvatureFields:
         else:
             flow_tensor_sq += fac.dim * eig**2
 
-    if len(state.factors) == 1:
-        fac = state.factors[0]
-        k_rad = k_fib = fac.kind.curvature / fac.coeff
-    elif (len(state.factors) == 2 and state.factors[0].dim == 1
-          and state.factors[0].kind is Fiber.FLAT_TORUS):
-        k_rad = 0.0
-        k_fib = state.factors[1].kind.curvature / state.factors[1].coeff
-    else:
-        k_rad = k_fib = 0.0
-
     arr = lambda v: np.array([float(v)])
     weyl_sq = _weyl_sq(n, rm_sq, ric_sq, scalar**2)
-    fields = CurvatureFields(arr(k_rad), arr(k_fib), arr(scalar), arr(ric_sq), arr(rm_sq),
-                             arr(weyl_sq), arr(grad), arr(0.0), n, alpha)
+    fields = CurvatureFields(arr(scalar), arr(ric_sq), arr(rm_sq), arr(weyl_sq), arr(grad),
+                             arr(0.0), n, alpha)
     vars(fields).update(s_scalar=arr(scalar - alpha * grad),
-                        s_flow=arr(scalar - 0.5 * alpha * grad),
+                        s_flow=arr(_flow_scalar(scalar, alpha, grad)),
                         flow_tensor_sq=arr(flow_tensor_sq), ric_op=arr(ric_op))
     return fields
 
@@ -609,35 +602,29 @@ def curvature_fields(state: State) -> CurvatureFields:
     return compute_curvature_homogeneous(state)
 
 
-# CurvatureFields' leading arrays, and the ones compute_curvature_homogeneous sets itself
-_FIELD_ARRAYS = ("k_rad", "k_fib", "scalar", "ric_sq", "rm_sq", "weyl_sq", "grad_phi_sq", "lap_phi")
-_HOMOGENEOUS_SET = ("s_scalar", "s_flow", "flow_tensor_sq", "ric_op")
-
-
-def stacked_curvature(states) -> tuple[CurvatureFields, Callable[[np.ndarray], np.ndarray]]:
-    """The curvature fields of several states as columns, and the Laplacian
-    on such columns.
+def stacked_curvature(states) -> tuple:
+    """The terms of the evolution identity of several states as columns,
+    (s_flow, flow_tensor_sq, lap_phi, laplacian).
 
     The states are of one kind with one n and alpha, and warped ones share
-    one kernel.  Every field is an (m, k) array, the grid along axis 0 and
-    state j in column j ((1, k) for homogeneous states); max_rm is the
-    maximum over the whole stack.  laplacian(values) applies each state's
-    Laplace-Beltrami operator to its column of an (m, k) array (zero for
-    homogeneous states).  Warped columns run compute_curvature's code and
-    WarpedState.laplacian's, whose every operation is elementwise or a
-    gather or slice along axis 0, so each column equals the one-state
-    result bit for bit.  A non-finite state raises compute_curvature's
-    error.
+    one kernel.  s_flow, flow_tensor_sq and lap_phi are CurvatureFields'
+    arrays as (m, k) arrays, the grid along axis 0 and state j in column j
+    ((1, k) for homogeneous states).  laplacian(values) applies each
+    state's Laplace-Beltrami operator to its column of an (m, k) array
+    (zero for homogeneous states).  Warped columns run compute_curvature's
+    kernel calls, the two functions behind CurvatureFields.s_flow and
+    flow_tensor_sq, and WarpedState.laplacian's operator, whose every
+    operation is elementwise or a gather or slice along axis 0, so each
+    column equals the one-state result bit for bit.  A non-finite state
+    raises compute_curvature's error.
     """
     first = states[0]
     if len({(type(s), s.n, s.alpha) for s in states}) > 1:
         raise ValueError("stacked states must share one kind, n and alpha")
     if isinstance(first, HomogeneousState):
-        each = [vars(compute_curvature_homogeneous(s)) for s in states]
-        column = lambda name: np.stack([f[name] for f in each], axis=1)
-        stacked = CurvatureFields(*map(column, _FIELD_ARRAYS), first.n, first.alpha)
-        vars(stacked).update({name: column(name) for name in _HOMOGENEOUS_SET})
-        return stacked, np.zeros_like
+        each = [compute_curvature_homogeneous(s) for s in states]
+        return (*(np.stack([getattr(one, name) for one in each], axis=1)
+                  for name in ("s_flow", "flow_tensor_sq", "lap_phi")), np.zeros_like)
     if len({(s.fiber, s.m, s.winding) for s in states}) > 1:
         raise ValueError("stacked warped states must share one kernel")
     kernel = first.kernel
@@ -647,8 +634,10 @@ def stacked_curvature(states) -> tuple[CurvatureFields, Callable[[np.ndarray], n
             _check_finite(s.ROWS, s.y)
     y = np.ascontiguousarray(y.transpose(1, 2, 0))  # (3, m, k)
     f, psi = y[0], y[1]
+    k_rad, k_fib, lam0, lam1, grad_phi_sq, lap_phi = kernel.terms(f, psi, y[2])
     psi_s = kernel.ds(psi, f)
-    return (_warped_fields(kernel, first.n, first.alpha, f, psi, y[2]),
+    return (_flow_scalar(kernel.scalar(k_rad, k_fib), first.alpha, grad_phi_sq),
+            _flow_tensor_sq(first.n, first.alpha, lam0, lam1, grad_phi_sq), lap_phi,
             lambda values: kernel.laplacian(f, psi, psi_s, kernel.ds(values, f)))
 
 
@@ -656,8 +645,8 @@ def scale_state(state: State, q: float):
     """Parabolic metric scaling g -> q*g (f, psi -> sqrt(q)*f, sqrt(q)*psi
     for warped states, coefficients -> q*a for homogeneous ones).
     phi and the flow time are left untouched."""
-    if q <= 0.0:
-        raise ValueError(f"scale factor must be positive, got {q}")
+    if not 0.0 < q < math.inf:  # nan compares false
+        raise ValueError(f"scale factor q must be finite and positive, got {q}")
     if isinstance(state, WarpedState):
         y = state.y.copy()
         y[:2] *= math.sqrt(q)

@@ -326,7 +326,9 @@ def load_checkpoint(path, config: FlowConfig | None = None, initial: State | Non
         raise
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if vals.shape != (len(fields(MonitorState)),) or not np.all(np.isfinite(vals)):
+    may_overflow = np.isin([f.name for f in fields(MonitorState)], MonitorState.INTEGRALS)
+    if vals.shape != may_overflow.shape or not np.all(
+            np.isfinite(vals) | may_overflow & (vals == np.inf)):
         raise CheckpointError(f"checkpoint {path} has malformed monitor state")
     if config is not None:
         # the stored side went through a JSON round trip; so does this one

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,49 @@ def test_resume_corrupt_checkpoint(tmp_path, capsys):
     (out / "checkpoint.npz").write_bytes(b"not a checkpoint")
     assert main(["resume", str(out)]) == 2
     assert "checkpoint" in capsys.readouterr().err.lower()
+
+
+def test_resume_after_the_spacetime_integral_overflows(tmp_path):
+    # at n = 200, |R|^{(n+2)/2} is beyond float64 from the first step on:
+    # acc_r read nan (inf times an underflowed psi^{n-1}), which the
+    # checkpoint then refused, so resume exited 2
+    text = "scenario: perturbed_cylinder\nn: 200\nalpha: 1.0\nt_end: 0.3\nm: 16\n"
+    cfg = write_config(tmp_path, text)
+    full, part = tmp_path / "full", tmp_path / "part"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg), "-o", str(full)]) == 0
+        assert main(["run", str(cfg), "-o", str(part), "--max-steps", "20"]) == 0
+        assert main(["resume", str(part)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    series = (part / "series.jsonl").read_bytes()
+    assert series == (full / "series.jsonl").read_bytes() and b"NaN" not in series
+    rows = read_series(full / "series.jsonl")
+    assert rows[0]["acc_r"] == 0.0 and all(row["acc_r"] == math.inf for row in rows[1:])
+    assert read_manifest(full / "manifest.json")["summary"]["acc_r"] == math.inf
+
+
+@pytest.mark.parametrize("index, value", [
+    *((i, math.nan) for i in range(8)), *((i, math.inf) for i in (0, 1, 4, 7)),
+    (2, -math.inf), (6, -math.inf),
+])
+def test_checkpoint_monitor_state_is_finite_but_for_overflowed_integrals(tmp_path, index,
+                                                                         value):
+    # MonitorState's fields: min_s0, sup_r, acc_r, acc_w, prev_t, prev_ir,
+    # prev_iw, eps0; only the four integrals may read +inf
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "50"]) == 0
+    with np.load(out / "checkpoint.npz") as data:
+        arrays = dict(data)
+    arrays["mon"][[2, 3, 5, 6]] = math.inf
+    np.savez(out / "checkpoint.npz", **arrays)
+    monitor_state = runio.load_checkpoint(out / "checkpoint.npz")[2]
+    assert [getattr(monitor_state, name) for name in monitor_state.INTEGRALS] == [math.inf] * 4
+    arrays["mon"][index] = value
+    np.savez(out / "checkpoint.npz", **arrays)
+    with pytest.raises(CheckpointError, match="malformed monitor state"):
+        runio.load_checkpoint(out / "checkpoint.npz")
 
 
 @pytest.mark.parametrize("name, text, message", [

@@ -21,6 +21,11 @@ def smooth_state(m=64, n=4, alpha=0.7, winding=1):
                        2.0 + 0.3 * np.cos(x), winding, 0.2 * np.sin(2 * x))
 
 
+def sectional(state):
+    """(K_rad, K_fib) of a warped state, from its derivative kernel."""
+    return state.kernel.terms(state.f, state.psi, state.u)[:2]
+
+
 def test_grid_spacing():
     for m in (8, 64, 256):
         g = Grid(m)
@@ -30,8 +35,9 @@ def test_grid_spacing():
 
 
 def test_flat_state_has_zero_curvature():
-    fields = compute_curvature(flat_state())
-    for arr in (fields.k_rad, fields.k_fib, fields.scalar, fields.ric_sq,
+    state = flat_state()
+    fields = compute_curvature(state)
+    for arr in (*sectional(state), fields.scalar, fields.ric_sq,
                 fields.rm_sq, fields.weyl_sq, fields.grad_phi_sq, fields.lap_phi,
                 fields.s_scalar):
         assert np.all(arr == 0.0)
@@ -42,8 +48,9 @@ def test_cylinder_closed_form():
     m = 64
     state = WarpedState(4, Fiber.ROUND_SPHERE, 0.0, np.ones(m), 2.0 * np.ones(m))
     fields = compute_curvature(state)
-    assert np.allclose(fields.k_rad, 0.0, atol=1e-15)
-    assert np.allclose(fields.k_fib, 0.25, atol=1e-15)
+    k_rad, k_fib = sectional(state)
+    assert np.allclose(k_rad, 0.0, atol=1e-15)
+    assert np.allclose(k_fib, 0.25, atol=1e-15)
     assert np.allclose(fields.scalar, 1.5, atol=1e-14)
     assert np.allclose(fields.rm_sq, 0.75, atol=1e-14)
     assert np.allclose(fields.ric_sq, 0.75, atol=1e-14)
@@ -62,11 +69,11 @@ def test_pointwise_s_identity():
 def test_scaling_covariance(q):
     state = smooth_state()
     base = compute_curvature(state)
-    scaled = compute_curvature(scale_state(state, q))
+    scaled_state = scale_state(state, q)
+    scaled = compute_curvature(scaled_state)
     checks = [
         (scaled.scalar, base.scalar / q),
-        (scaled.k_rad, base.k_rad / q),
-        (scaled.k_fib, base.k_fib / q),
+        *zip(sectional(scaled_state), (k / q for k in sectional(state))),
         (scaled.rm_sq, base.rm_sq / q**2),
         (scaled.ric_sq, base.ric_sq / q**2),
         (scaled.grad_phi_sq, base.grad_phi_sq / q),
@@ -167,8 +174,6 @@ def test_homogeneous_circle_times_sphere():
     fields = compute_curvature_homogeneous(state)
     assert fields.scalar[0] == pytest.approx(6.0, abs=1e-13)
     assert fields.s_scalar[0] == pytest.approx(6.0, abs=1e-13)
-    assert fields.k_fib[0] == pytest.approx(1.0)
-    assert fields.k_rad[0] == 0.0
 
 
 def test_homogeneous_s2_x_s2_has_weyl():
@@ -202,6 +207,17 @@ def test_constructors_refuse_non_finite_numbers(bad):
         with pytest.raises(ValueError, match=f"^coupling alpha must be finite and >= 0, "
                                              f"got {bad}$"):
             build()
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_scale_state_refuses_a_factor_outside_zero_to_inf(q):
+    # an inf q gave a warped state with infinite f and psi; a nan one was
+    # reported as "f must be positive"
+    homogeneous = HomogeneousState(3, 0.0, (Factor(1.0, Fiber.ROUND_SPHERE, 3),))
+    for state in (smooth_state(), homogeneous):
+        with pytest.raises(ValueError, match=f"^scale factor q must be finite and positive, "
+                                             f"got {q}$"):
+            scale_state(state, q)
 
 
 def test_lengths_and_volume_flat():
