@@ -39,11 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (CurvatureFields, Fiber, HomogeneousState, State, ball_volume_constant,
-                       curvature_fields, scale_state, sphere_area, stacked_curvature)
+from .geometry import (CurvatureFields, Fiber, HomogeneousState, StackMeasure, State,
+                       ball_volume_constant, curvature_fields, map_ranges, scale_state,
+                       sphere_area, stack_measure, stacked_curvature)
 
 EPS0 = 1e-8
 S_CHUNK = 30  # windows per stacked pass of monitor_S_evolution (see there)
+MONITOR_STACK = 32  # rows per MonitorState.settle pass (see there)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +77,15 @@ class MonitorRecord:
 
 @dataclass
 class MonitorState:
-    """Running accumulators the integrator carries between steps."""
+    """Running accumulators the integrator carries between steps.
+
+    update() queues a step and record() a record; settle() advances the
+    accumulators over everything queued in one stacked pass.  prev_t is
+    current at once; sup_r, acc_r, acc_w, prev_ir and prev_iw are current
+    after settle(), which flow.run calls whenever MONITOR_STACK rows are
+    queued and before it returns, so a Trajectory's monitor state and a
+    checkpoint's are current.  The queue is no dataclass field: checkpoints,
+    equality and astuple skip it."""
 
     INTEGRALS = ("acc_r", "acc_w", "prev_ir", "prev_iw")  # +inf once they overflow; never nan
 
@@ -91,66 +101,147 @@ class MonitorState:
     @classmethod
     def start(cls, state: State, fields: CurvatureFields, eps0: float = EPS0):
         with np.errstate(over="ignore", invalid="ignore"):
-            ir, iw = curvature_power_integrals(fields, state.integrator())
+            (ir,), (iw,) = curvature_power_integrals(
+                stack_measure(state, state.arrays()[np.newaxis, :state.positive]),
+                np.array([fields.scalar]), np.array([fields.weyl_sq]), state.n)
         return cls(min_s0=float(fields.s_scalar.min()),
                    sup_r=float(fields.scalar.max()),
                    acc_r=0.0, acc_w=0.0, prev_t=state.t,
                    prev_ir=ir, prev_iw=iw, eps0=eps0)
 
-    def integrator(self, state: State):
-        """state.integrator(), kept for the state last asked about: update() and
-        make_monitor_record share it.  No dataclass field, so checkpoints skip it."""
-        if vars(self).get("_kept", (None,))[0] is not state:
-            self._kept = (state, state.integrator())
-        return self._kept[1]
+    @property
+    def queued(self) -> int:
+        """Rows queued and not yet settled."""
+        return len(self._queue.dts) if "_queue" in vars(self) else 0
+
+    @property
+    def full(self) -> bool:
+        return self.queued >= MONITOR_STACK
+
+    def _open(self, state: State, fields: CurvatureFields) -> "_Queue":
+        """The queue, made for state's grid and fields if none is open."""
+        if "_queue" not in vars(self):
+            self._queue = _Queue(state, fields)
+        return self._queue
 
     def update(self, state: State, fields: CurvatureFields):
-        """Advance accumulators to the state's time (once per step, overflow warnings off)."""
-        dt = state.t - self.prev_t
-        ir, iw = curvature_power_integrals(fields, self.integrator(state))
-        self.acc_r += 0.5 * (self.prev_ir + ir) * dt
-        self.acc_w += 0.5 * (self.prev_iw + iw) * dt
-        self.sup_r = max(self.sup_r, float(fields.scalar.max()))
-        self.prev_t, self.prev_ir, self.prev_iw = state.t, ir, iw
+        """Queue the accepted step to state (once per step): prev_t advances
+        now, the other accumulators at the next settle()."""
+        self._open(state, fields).push(state, fields, state.t - self.prev_t)
+        self.prev_t = state.t
+
+    def record(self, state: State, fields: CurvatureFields):
+        """Queue a record of state: on the newest row if that is state's
+        step, else on a row of its own that advances nothing."""
+        queue = self._open(state, fields)
+        if queue.tail is not state:
+            queue.push(state, fields, None)
+        queue.mark(state, fields)
+
+    def settle(self) -> list[tuple]:
+        """Advance the accumulators over the queued rows, in one pass, and
+        empty the queue.  The pass forms each row's int |R|^p dmu, int |W|^p
+        dmu and max R, and each record row's reductions, over C-contiguous
+        (k, width) stacks; then the rows are walked in step order with the
+        one-step Python-float expressions (trapezoidal acc_r and acc_w, the
+        running sup_r).  Returns one settled row per queued record, in order,
+        for make_monitor_record."""
+        queue = vars(self).pop("_queue", None)
+        if queue is None:
+            return []
+        k, state, alpha = len(queue.dts), queue.state, queue.state.alpha
+        with np.errstate(over="ignore", invalid="ignore"):
+            measure = stack_measure(state, queue.metric[:k])
+            scalar = queue.scalar[:k]
+            max_r = scalar.max(axis=1).tolist()
+            marks = _record_reductions(measure, scalar, alpha, queue)
+            irs, iws = curvature_power_integrals(measure, scalar, queue.weyl_sq[:k], state.n)
+        settled = []
+        for j, dt in enumerate(queue.dts):
+            if dt is not None:
+                ir, iw = irs[j], iws[j]
+                self.acc_r += 0.5 * (self.prev_ir + ir) * dt
+                self.acc_w += 0.5 * (self.prev_iw + iw) * dt
+                self.sup_r = max(self.sup_r, max_r[j])
+                self.prev_ir, self.prev_iw = ir, iw
+            if marks and marks[0][0] == j:
+                _, min_s, max_s, max_grad, max_ric, max_rm, *rest = marks.pop(0)
+                margin = self.sup_r + self.eps0 - self.min_s0 - alpha * max_grad
+                settled.append((min_s, max_s, max_grad, max_ric, max_rm, *rest,
+                                2.0 * max_ric + 2.0 * alpha * max_grad, margin,
+                                self.acc_r, self.acc_w))
+        return settled
 
 
-def curvature_power_integrals(fields: CurvatureFields, integrate) -> tuple[float, float]:
-    """(int |R|^p dmu, int |W|^p dmu) with p = (n+2)/2, by the state's integrator.
-    One beyond float64 reads +inf, as does the nan of an inf power times a weight
-    psi^{n-1} that underflowed to 0; call it with overflow warnings off."""
-    p = (fields.n + 2) / 2.0
-    ir, iw = integrate(np.abs(fields.scalar) ** p), integrate(np.abs(fields.weyl_sq) ** (p / 2.0))
-    return (math.inf if math.isnan(ir) else ir), (math.inf if math.isnan(iw) else iw)
+class _Queue:
+    """The rows a MonitorState has queued: each row's metric rows
+    (arrays()[:positive]), R and |W|^2, copied into (MONITOR_STACK, ...)
+    buffers, and its dt (None on a row that only records); for record rows,
+    the state, the |grad phi|^2, |Ric| operator norm and |Rm|^2 arrays of
+    its fields, and max|Rm|."""
+
+    def __init__(self, state: State, fields: CurvatureFields):
+        self.state = state  # kind, n, grid and alpha of every row
+        self.metric = np.empty((MONITOR_STACK, state.positive, state.arrays().shape[1]))
+        self.scalar = np.empty((MONITOR_STACK, fields.scalar.size))
+        self.weyl_sq = np.empty_like(self.scalar)
+        self.dts: list[float | None] = []
+        self.marks: list[tuple] = []  # (row, state, grad_phi_sq, ric_op, rm_sq, max_rm)
+        self.tail = None  # the state of the newest row
+
+    def push(self, state: State, fields: CurvatureFields, dt: float | None):
+        j = len(self.dts)
+        self.metric[j] = state.arrays()[:state.positive]
+        self.scalar[j] = fields.scalar
+        self.weyl_sq[j] = fields.weyl_sq
+        self.dts.append(dt)
+        self.tail = state
+
+    def mark(self, state: State, fields: CurvatureFields):
+        self.marks.append((len(self.dts) - 1, state, fields.grad_phi_sq, fields.ric_op,
+                           fields.rm_sq, fields.max_rm))
 
 
-def make_monitor_record(state: State, fields: CurvatureFields,
-                        mon: MonitorState) -> MonitorRecord:
-    alpha = state.alpha
-    integrate = mon.integrator(state)
-    length, volume = state.length_volume(integrate)
-    integrand = integrate(-fields.scalar + 0.5 * alpha * fields.grad_phi_sq)
-    max_grad = float(fields.grad_phi_sq.max())
-    max_ric = fields.max_ric
-    phi_min, phi_max = state.map_range()
-    margin = mon.sup_r + mon.eps0 - mon.min_s0 - alpha * max_grad
-    return MonitorRecord(
-        min_s=float(fields.s_scalar.min()),
-        max_s=float(fields.s_scalar.max()),
-        max_grad_phi_sq=max_grad,
-        max_ric=max_ric,
-        max_rm=fields.max_rm,
-        rm_argmax=int(fields.rm_sq.argmax()),
-        max_abs_r=float(np.abs(fields.scalar).max()),
-        phi_min=phi_min,
-        phi_max=phi_max,
-        length=length,
-        volume=volume,
-        volume_integrand=integrand,
-        distortion_rate=2.0 * max_ric + 2.0 * alpha * max_grad,
-        grad_margin=margin,
-        acc_r=mon.acc_r,
-        acc_w=mon.acc_w,
-    )
+def _record_reductions(measure, scalar, alpha: float, queue: _Queue) -> list[tuple]:
+    """Per record row of the queue: (row, min S, max S, max|grad phi|^2,
+    max|Ric|, max|Rm|, argmax|Rm|^2, max|R|, min u, max u, L, V,
+    int (-R + (alpha/2)|grad phi|^2) dmu), reduced over (records, width)
+    stacks of the record rows alone."""
+    if not queue.marks:
+        return []
+    rows, states, grad, ric, rm_sq, max_rm = zip(*queue.marks)
+    rows = list(rows)
+    sel = slice(None) if len(rows) == len(queue.dts) else rows
+    r, grad, ric, rm_sq = scalar[sel], np.array(grad), np.array(ric), np.array(rm_sq)
+    s = r - alpha * grad
+    columns = (s.min(axis=1), s.max(axis=1), grad.max(axis=1), ric.max(axis=1), max_rm,
+               rm_sq.argmax(axis=1), np.abs(r).max(axis=1), *map_ranges(states),
+               measure.length(sel), measure.integrate(1.0, sel),
+               measure.integrate(-r + 0.5 * alpha * grad, sel))
+    return list(zip(rows, *(np.asarray(c).tolist() for c in columns)))
+
+
+def curvature_power_integrals(measure: StackMeasure, scalar, weyl_sq,
+                              n: int) -> tuple[list[float], list[float]]:
+    """(int |R|^p dmu, int |W|^p dmu) with p = (n+2)/2 for each row of the
+    (k, width) stacks scalar = R and weyl_sq = |W|^2, by the rows' measure;
+    both stacks are overwritten with the integrands.  One beyond float64
+    reads +inf, as does the nan of an inf power times a weight psi^{n-1}
+    that underflowed to 0; call it with overflow warnings off."""
+    p = (n + 2) / 2.0
+    integrals = []
+    for values, power in ((scalar, p), (weyl_sq, p / 2.0)):
+        np.abs(values, out=values)
+        values **= power
+        integral = measure.integrate(values, out=values)
+        integral[np.isnan(integral)] = math.inf
+        integrals.append(integral.tolist())
+    return tuple(integrals)
+
+
+def make_monitor_record(row: tuple) -> MonitorRecord:
+    """The MonitorRecord of a settled row (MonitorState.settle)."""
+    return MonitorRecord(*row)
 
 
 # ---------------------------------------------------------------------------

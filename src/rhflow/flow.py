@@ -54,6 +54,15 @@ Only the accepted state is built and validated, once, by state.evolved,
 and its finiteness is tested once, by the curvature_fields call that
 _try_step makes for it (a non-finite row there rejects the step);
 nothing mutates it afterwards, so the records share it without a copy.
+
+The monitors settle in stacks: each accepted step is queued in the run's
+MonitorState (update, from _advance) and each record too (record, from
+run), and run settles the queue, one stacked pass over up to
+analysis.MONITOR_STACK rows, whenever it is full and before it returns, on
+every termination and on stop_after_steps.  Each record is then assembled
+by make_monitor_record from its settled row, so a trajectory's records and
+its monitor_state are those of a one-step-at-a-time evaluation, bit for
+bit, and nothing is left queued.
 """
 from __future__ import annotations
 
@@ -316,26 +325,43 @@ def run(config: FlowConfig, initial: State, *,
                              f"{floor:g} (c_cfl {config.c_cfl:g}, rate_limit "
                              f"{config.rate_limit:g})")
 
-    def record() -> FlowRecord:
-        return FlowRecord(state, make_monitor_record(state, fields, monitor_state), steps)
-
     records: list[FlowRecord] = []
+    pending: list[tuple[State, int]] = []  # records queued in monitor_state, not yet settled
+    last = None  # the step of the newest record
+
+    def record():
+        nonlocal last
+        monitor_state.record(state, fields)
+        pending.append((state, steps))
+        last = steps
+
+    def settle():
+        for (rec_state, step), row in zip(pending, monitor_state.settle(), strict=True):
+            records.append(FlowRecord(rec_state, make_monitor_record(row), step))
+        pending.clear()
+
     steps = steps_done
     while True:
         termination = ("blowup_threshold" if fields.max_rm >= config.blowup_threshold
                        else "reached_t_end" if state.t >= t_end - tol else None)
         if termination or steps % config.output_every == 0:
-            records.append(record())
+            record()
         if termination or steps == stop_after_steps:
             break
+        if monitor_state.full:
+            settle()
         ahead = _advance(state, fields, config, monitor_state)
         if ahead is None:
             termination = "nonfinite"
             if steps % config.output_every:
-                records.append(record())
+                record()
             break
         state, fields = ahead
         steps += 1
 
-    final = records[-1] if records and records[-1].step == steps else record()
+    closing = last != steps  # the state the leg ended on has no record yet
+    if closing:
+        record()
+    settle()
+    final = records.pop() if closing else records[-1]
     return Trajectory(records, termination, config, final, monitor_state)

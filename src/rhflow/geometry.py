@@ -31,7 +31,10 @@ flow and the monitors use (arrays, evolved, length_volume, integrator, ...),
 the flow's rate law included: rates(y, sign, fields) gives the time
 derivatives of a block y and stable_dt() the parabolic step bound per
 unit c_cfl (infinite for products), so the flow never asks a state its
-kind.
+kind.  stack_measure gives the volume measure and base-curve length of
+many states of one run at once, from their stacked metric rows, and
+map_ranges their map ranges; a state's own integrator() and
+length_volume() are a stack of one.
 """
 from __future__ import annotations
 
@@ -59,13 +62,23 @@ class Fiber(str, Enum):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [0, 2*pi)."""
+    """Uniform periodic grid on [0, 2*pi) of 8 to MAX_M points.
+
+    MAX_M = 2**16 is a refusal made before anything of size m is
+    allocated.  Above it a run cannot finish: the parabolic step bound
+    c_cfl * min(f h)^2 is about 9e-9 at f = 1, over 10^8 steps per unit of
+    flow time, and the monitor queue alone would hold 32 * 4 rows of m
+    floats (64 MiB at MAX_M, 1 GiB at 2**20)."""
 
     m: int
+
+    MAX_M = 2**16
 
     def __post_init__(self):
         if self.m < 8:
             raise ValueError(f"grid needs at least 8 points, got m={self.m}")
+        if self.m > self.MAX_M:
+            raise ValueError(f"grid takes at most {self.MAX_M} points, got m={self.m}")
 
     @property
     def h(self) -> float:
@@ -130,12 +143,14 @@ class WarpedKernel:
         drift *= v_s
         return np.add(self.ds(v_s, f), drift, out=out)
 
-    def terms(self, f, psi, u, lap_phi=None):
+    def terms(self, f, psi, u, lap_phi=None, psi_s=None):
         """(k_rad, k_fib, lam0, lam1, |grad phi|^2, Lap phi) of the data f,
         psi, u, with lam0 = (n-1) k_rad and lam1 = k_rad + (n-2) k_fib the
         Ricci eigenvalues along d/ds and on the fiber; Lap phi is written into
-        lap_phi if one is given."""
-        psi_s = self.ds(psi, f)
+        lap_phi if one is given.  psi_s is ds(psi, f), taken here unless the
+        caller has taken it (and not written to; nothing here writes it)."""
+        if psi_s is None:
+            psi_s = self.ds(psi, f)
         k_rad = self.ds(psi_s, f)
         np.negative(k_rad, out=k_rad)
         k_rad /= psi
@@ -275,32 +290,26 @@ class WarpedState:
         """A validated state that adopts the block y as its arrays() at time t."""
         return WarpedState(self.n, self.fiber, self.alpha, winding=self.winding, t=t, y=y)
 
-    def length_volume(self, integrate=None) -> tuple[float, float]:
+    def length_volume(self) -> tuple[float, float]:
         """Arc length of the base circle and total volume,
 
             L = int f dx,    V = vol(fiber) * int f psi^{n-1} dx,
 
         by trapezoidal quadrature on the periodic grid (which is the plain
-        Riemann sum there).  integrate, this state's integrator() if the
-        caller holds one, spares making another."""
-        return self.h * float(self.f.sum()), (integrate or self.integrator())(1.0)
+        Riemann sum there): stack_measure's stack of one."""
+        return _length_volume(self)
 
     def integrator(self):
         """values -> int values dmu over the manifold, with fiber_volume * h and
         psi^{n-1} taken once from the arrays as they are now: for several fields
-        of one state, not past an in-place edit."""
-        scale = fiber_volume(self.n - 1, self.fiber) * self.h
-        f, weight = self.f, self.psi ** (self.n - 1)
-        return lambda values: scale * float((values * f * weight).sum())
+        of one state, not past an in-place edit (stack_measure's stack of one)."""
+        measure = stack_measure(self, self.y[np.newaxis, :self.positive])
+        return lambda values: float(measure.integrate(values)[0])
 
     def metric_logs(self) -> np.ndarray:
         """Log of the metric coefficients in the two coordinate directions,
         g_xx = f^2 and the fiber coefficient psi^2, concatenated."""
         return np.log(self.y[:2] ** 2).ravel()
-
-    def map_range(self) -> tuple[float, float]:
-        """(min, max) of the periodic part u of phi."""
-        return float(self.u.min()), float(self.u.max())
 
     @property
     def map_single_valued(self) -> bool:
@@ -421,13 +430,10 @@ class HomogeneousState:
         factors = tuple(replace(fac, coeff=float(a)) for fac, a in zip(self.factors, y[0]))
         return HomogeneousState(self.n, self.alpha, factors, t)
 
-    def length_volume(self, integrate=None) -> tuple[float, float]:
+    def length_volume(self) -> tuple[float, float]:
         """Circumference scale of the first factor (a representative curve
-        length) and total volume, in closed form: integrate is not needed."""
-        vol = 1.0
-        for fac in self.factors:
-            vol *= fiber_volume(fac.dim, fac.kind) * fac.coeff ** (fac.dim / 2.0)
-        return TWO_PI * math.sqrt(self.factors[0].coeff), vol
+        length) and total volume, in closed form: stack_measure's stack of one."""
+        return _length_volume(self)
 
     def integrator(self):
         """values -> int values dmu of a constant (length-1) field, with the
@@ -438,10 +444,6 @@ class HomogeneousState:
     def metric_logs(self) -> np.ndarray:
         """Log of the per-factor coefficients."""
         return np.log(self.coefficients())
-
-    def map_range(self) -> tuple[float, float]:
-        """A map of slopes along circle factors has no periodic part."""
-        return 0.0, 0.0
 
     @property
     def map_single_valued(self) -> bool:
@@ -634,11 +636,84 @@ def stacked_curvature(states) -> tuple:
             _check_finite(s.ROWS, s.y)
     y = np.ascontiguousarray(y.transpose(1, 2, 0))  # (3, m, k)
     f, psi = y[0], y[1]
-    k_rad, k_fib, lam0, lam1, grad_phi_sq, lap_phi = kernel.terms(f, psi, y[2])
-    psi_s = kernel.ds(psi, f)
+    psi_s = kernel.ds(psi, f)  # the Laplacian's drift term takes it too
+    k_rad, k_fib, lam0, lam1, grad_phi_sq, lap_phi = kernel.terms(f, psi, y[2], psi_s=psi_s)
     return (_flow_scalar(kernel.scalar(k_rad, k_fib), first.alpha, grad_phi_sq),
             _flow_tensor_sq(first.n, first.alpha, lam0, lam1, grad_phi_sq), lap_phi,
             lambda values: kernel.laplacian(f, psi, psi_s, kernel.ds(values, f)))
+
+
+@dataclass(frozen=True)
+class StackMeasure:
+    """The volume measure and base-curve length of k states of one run,
+    row j for state j (stack_measure builds it).  For values a (k, width)
+    array or a number, and rows a slice or index array of the states wanted
+    (all by default):
+
+        integrate(values, rows)[j] = scale * (values_j * f_j * weight_j).sum()
+        length(rows)[j]            = step * curve_j.sum()
+
+    Every row is reduced over the contiguous axis, so each entry equals the
+    one-state value bit for bit.  integrate forms the product in out if
+    given, which may be values itself."""
+
+    scale: float
+    f: np.ndarray
+    weight: np.ndarray
+    step: float
+    curve: np.ndarray
+
+    def integrate(self, values, rows=slice(None), out=None) -> np.ndarray:
+        product = np.multiply(values, self.f[rows], out=out)
+        product *= self.weight[rows]
+        return self.scale * product.sum(axis=1)
+
+    def length(self, rows=slice(None)) -> np.ndarray:
+        return self.step * self.curve[rows].sum(axis=1)
+
+
+def stack_measure(state: State, blocks: np.ndarray) -> StackMeasure:
+    """The StackMeasure of k states with state's kind, n and grid (fiber
+    and winding) or factors, from their metric rows arrays()[:positive]
+    stacked on axis 0: (k, 2, m) rows f, psi or (k, 1, factors).
+
+    Warped: scale = vol(fiber) * h, weight = psi^{n-1}, curve = f with step
+    h.  Products, in closed form: f = 1, weight = the volume, curve = the
+    first factor's circumference 2 pi sqrt(a) with step 1; scale 1 and
+    step 1 change no bit.  Python float arithmetic on extreme product
+    coefficients raises OverflowError."""
+    if isinstance(state, WarpedState):
+        f = blocks[:, 0]
+        return StackMeasure(fiber_volume(state.n - 1, state.fiber) * state.h, f,
+                            blocks[:, 1] ** (state.n - 1), state.h, f)
+    closed = np.array([_product_length_volume(state.factors, block[0].tolist())
+                       for block in blocks])
+    return StackMeasure(1.0, np.ones((len(blocks), 1)), closed[:, 1:], 1.0, closed[:, :1])
+
+
+def map_ranges(states) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of the periodic part u of phi of each of several states
+    of one kind, as two (k,) arrays: 0 on products, where a map of slopes
+    along circle factors has no periodic part."""
+    if isinstance(states[0], WarpedState):
+        u = np.array([s.u for s in states])
+        return u.min(axis=1), u.max(axis=1)
+    zeros = np.zeros(len(states))
+    return zeros, zeros
+
+
+def _product_length_volume(factors, coeffs) -> tuple[float, float]:
+    """(2 pi sqrt(a_0), prod vol(model factor) a^{dim/2}) of product
+    coefficients a, in Python floats."""
+    vol = 1.0
+    for fac, a in zip(factors, coeffs):
+        vol *= fiber_volume(fac.dim, fac.kind) * a ** (fac.dim / 2.0)
+    return TWO_PI * math.sqrt(coeffs[0]), vol
+
+
+def _length_volume(state: State) -> tuple[float, float]:
+    measure = stack_measure(state, state.arrays()[np.newaxis, :state.positive])
+    return float(measure.length()[0]), float(measure.integrate(1.0)[0])
 
 
 def scale_state(state: State, q: float):

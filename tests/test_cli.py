@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import rhflow.flow
 from rhflow import runio
 from rhflow.cli import main
 from rhflow.flow import run
+from rhflow.geometry import Grid
 from rhflow.runio import (CheckpointError, ConfigError, load_config, load_snapshot,
                           parse_config, read_manifest, read_series)
 from rhflow.verification import run_verification
@@ -192,6 +194,30 @@ def test_bad_scenario_input_exits_2_without_output(tmp_path, capsys, text):
     assert main(["run", str(cfg), "-o", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_grid_above_the_cap_is_refused_before_it_is_allocated(tmp_path, capsys):
+    # Grid refuses such an m before anything of its size exists, so the
+    # config below never reaches an allocation of m floats
+    huge = 10**9
+    with pytest.raises(ValueError, match=f"m={huge}$"):
+        Grid(huge)
+    with pytest.raises(ValueError, match=f"m={Grid.MAX_M + 1}$"):
+        Grid(Grid.MAX_M + 1)
+    assert Grid(Grid.MAX_M).m == Grid.MAX_M
+    raw = {"scenario": "perturbed_cylinder", "n": 4, "alpha": 1.0, "t_end": 0.1, "m": huge}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"at most {Grid.MAX_M} points, got m={huge}$"):
+            parse_config(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    cfg = write_config(tmp_path, FLAT_CONFIG.replace("m: 16", f"m: {huge}"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out)]) == 2
+    assert f"m={huge}" in capsys.readouterr().err and not out.exists()
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -196,6 +196,23 @@ def test_stacked_curvature_columns_equal_one_state_fields(fiber, m, winding, mon
         assert_bits(lap[:, j], s.laplacian(values[:, j]))
 
 
+def test_stacked_curvature_takes_each_derivative_once(monkeypatch):
+    # d psi/ds, d(psi_s)/ds and d(phi_s)/ds: the Laplacian's drift term
+    # reads the d psi/ds that the curvature terms took
+    states = state_stack(Fiber.ROUND_SPHERE, 33, 1)
+    calls = []
+    ds = geometry.WarpedKernel.ds
+    monkeypatch.setattr(geometry.WarpedKernel, "ds",
+                        lambda self, values, f: calls.append(values) or ds(self, values, f))
+    *_, laplacian = stacked_curvature(states)
+    assert len(calls) == 3
+    psi = np.stack([s.psi for s in states], axis=1)
+    assert sum(np.array_equal(values, psi) for values in calls) == 1
+    laplacian(np.cos(psi))  # v_s and v_ss; the drift reuses d psi/ds
+    assert len(calls) == 5
+    assert sum(np.array_equal(values, psi) for values in calls) == 1
+
+
 def test_stacked_curvature_of_homogeneous_states():
     base = homogeneous()
     states = [base.evolved(base.arrays() * c, 0.0) for c in (1.0, 0.8, 0.5)]
