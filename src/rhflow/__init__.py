@@ -8,7 +8,7 @@ from .geometry import (CurvatureFields, Factor, Fiber, Grid, HomogeneousState,
                        WarpedState, compute_curvature, compute_curvature_homogeneous,
                        curvature_fields, scale_state)
 from .christoffel import curvature_oracle_check
-from .flow import FlowConfig, StepError, Trajectory, rhs, rhs_homogeneous, run, step
+from .flow import FlowConfig, StepError, Trajectory, rhs, run, step
 from .oracles import Scenario, exact_state, scenario_run, singular_time
 from . import analysis
 
@@ -16,7 +16,7 @@ __all__ = [
     "CurvatureFields", "Factor", "Fiber", "Grid", "HomogeneousState", "WarpedState",
     "compute_curvature", "compute_curvature_homogeneous", "curvature_fields",
     "scale_state", "curvature_oracle_check",
-    "FlowConfig", "StepError", "Trajectory", "rhs", "rhs_homogeneous", "run",
+    "FlowConfig", "StepError", "Trajectory", "rhs", "run",
     "step", "Scenario", "exact_state", "scenario_run", "singular_time", "analysis",
     "__version__",
 ]

@@ -79,9 +79,10 @@ class MonitorRecord:
 class MonitorState:
     """Running accumulators the integrator carries between steps.
 
-    update() queues a step and record() a record; settle() advances the
-    accumulators over everything queued in one stacked pass.  prev_t is
-    current at once; sup_r, acc_r, acc_w, prev_ir and prev_iw are current
+    update() queues a step and record() a record, its state and step with
+    its mark; settle() advances the accumulators over everything queued in
+    one stacked pass and hands each record back with its settled row.
+    prev_t is current at once; sup_r, acc_r, acc_w, prev_ir and prev_iw are current
     after settle(), which flow.run calls whenever MONITOR_STACK rows are
     queued and before it returns, so a Trajectory's monitor state and a
     checkpoint's are current.  The queue is no dataclass field: checkpoints,
@@ -96,10 +97,9 @@ class MonitorState:
     prev_t: float
     prev_ir: float
     prev_iw: float
-    eps0: float = EPS0
 
     @classmethod
-    def start(cls, state: State, fields: CurvatureFields, eps0: float = EPS0):
+    def start(cls, state: State, fields: CurvatureFields):
         with np.errstate(over="ignore", invalid="ignore"):
             (ir,), (iw,) = curvature_power_integrals(
                 stack_measure(state, state.arrays()[np.newaxis, :state.positive]),
@@ -107,7 +107,7 @@ class MonitorState:
         return cls(min_s0=float(fields.s_scalar.min()),
                    sup_r=float(fields.scalar.max()),
                    acc_r=0.0, acc_w=0.0, prev_t=state.t,
-                   prev_ir=ir, prev_iw=iw, eps0=eps0)
+                   prev_ir=ir, prev_iw=iw)
 
     @property
     def queued(self) -> int:
@@ -130,13 +130,13 @@ class MonitorState:
         self._open(state, fields).push(state, fields, state.t - self.prev_t)
         self.prev_t = state.t
 
-    def record(self, state: State, fields: CurvatureFields):
-        """Queue a record of state: on the newest row if that is state's
-        step, else on a row of its own that advances nothing."""
+    def record(self, state: State, fields: CurvatureFields, step: int):
+        """Queue a record of state, the run's step-th: on the newest row if
+        that is state's step, else on a row of its own that advances nothing."""
         queue = self._open(state, fields)
         if queue.tail is not state:
             queue.push(state, fields, None)
-        queue.mark(state, fields)
+        queue.mark(state, fields, step)
 
     def settle(self) -> list[tuple]:
         """Advance the accumulators over the queued rows, in one pass, and
@@ -144,8 +144,8 @@ class MonitorState:
         dmu and max R, and each record row's reductions, over C-contiguous
         (k, width) stacks; then the rows are walked in step order with the
         one-step Python-float expressions (trapezoidal acc_r and acc_w, the
-        running sup_r).  Returns one settled row per queued record, in order,
-        for make_monitor_record."""
+        running sup_r).  Returns (state, step, row) per queued record, in
+        order, with row its settled values for make_monitor_record."""
         queue = vars(self).pop("_queue", None)
         if queue is None:
             return []
@@ -165,11 +165,11 @@ class MonitorState:
                 self.sup_r = max(self.sup_r, max_r[j])
                 self.prev_ir, self.prev_iw = ir, iw
             if marks and marks[0][0] == j:
-                _, min_s, max_s, max_grad, max_ric, max_rm, *rest = marks.pop(0)
-                margin = self.sup_r + self.eps0 - self.min_s0 - alpha * max_grad
-                settled.append((min_s, max_s, max_grad, max_ric, max_rm, *rest,
-                                2.0 * max_ric + 2.0 * alpha * max_grad, margin,
-                                self.acc_r, self.acc_w))
+                _, rec_state, step, *row = marks.pop(0)
+                max_grad, max_ric = row[2:4]
+                row += [2.0 * max_ric + 2.0 * alpha * max_grad,
+                        self.sup_r + EPS0 - self.min_s0 - alpha * max_grad, self.acc_r, self.acc_w]
+                settled.append((rec_state, step, row))
         return settled
 
 
@@ -177,8 +177,8 @@ class _Queue:
     """The rows a MonitorState has queued: each row's metric rows
     (arrays()[:positive]), R and |W|^2, copied into (MONITOR_STACK, ...)
     buffers, and its dt (None on a row that only records); for record rows,
-    the state, the |grad phi|^2, |Ric| operator norm and |Rm|^2 arrays of
-    its fields, and max|Rm|."""
+    the state and its step, the |grad phi|^2, |Ric| operator norm and |Rm|^2
+    arrays of its fields, and max|Rm|."""
 
     def __init__(self, state: State, fields: CurvatureFields):
         self.state = state  # kind, n, grid and alpha of every row
@@ -186,7 +186,7 @@ class _Queue:
         self.scalar = np.empty((MONITOR_STACK, fields.scalar.size))
         self.weyl_sq = np.empty_like(self.scalar)
         self.dts: list[float | None] = []
-        self.marks: list[tuple] = []  # (row, state, grad_phi_sq, ric_op, rm_sq, max_rm)
+        self.marks: list[tuple] = []  # (row, state, step, grad_phi_sq, ric_op, rm_sq, max_rm)
         self.tail = None  # the state of the newest row
 
     def push(self, state: State, fields: CurvatureFields, dt: float | None):
@@ -197,19 +197,19 @@ class _Queue:
         self.dts.append(dt)
         self.tail = state
 
-    def mark(self, state: State, fields: CurvatureFields):
-        self.marks.append((len(self.dts) - 1, state, fields.grad_phi_sq, fields.ric_op,
+    def mark(self, state: State, fields: CurvatureFields, step: int):
+        self.marks.append((len(self.dts) - 1, state, step, fields.grad_phi_sq, fields.ric_op,
                            fields.rm_sq, fields.max_rm))
 
 
 def _record_reductions(measure, scalar, alpha: float, queue: _Queue) -> list[tuple]:
-    """Per record row of the queue: (row, min S, max S, max|grad phi|^2,
-    max|Ric|, max|Rm|, argmax|Rm|^2, max|R|, min u, max u, L, V,
-    int (-R + (alpha/2)|grad phi|^2) dmu), reduced over (records, width)
-    stacks of the record rows alone."""
+    """Per record row of the queue: (row, state, step, min S, max S,
+    max|grad phi|^2, max|Ric|, max|Rm|, argmax|Rm|^2, max|R|, min u, max u,
+    L, V, int (-R + (alpha/2)|grad phi|^2) dmu), reduced over (records,
+    width) stacks of the record rows alone."""
     if not queue.marks:
         return []
-    rows, states, grad, ric, rm_sq, max_rm = zip(*queue.marks)
+    rows, states, steps, grad, ric, rm_sq, max_rm = zip(*queue.marks)
     rows = list(rows)
     sel = slice(None) if len(rows) == len(queue.dts) else rows
     r, grad, ric, rm_sq = scalar[sel], np.array(grad), np.array(ric), np.array(rm_sq)
@@ -218,7 +218,7 @@ def _record_reductions(measure, scalar, alpha: float, queue: _Queue) -> list[tup
                rm_sq.argmax(axis=1), np.abs(r).max(axis=1), *map_ranges(states),
                measure.length(sel), measure.integrate(1.0, sel),
                measure.integrate(-r + 0.5 * alpha * grad, sel))
-    return list(zip(rows, *(np.asarray(c).tolist() for c in columns)))
+    return list(zip(rows, states, steps, *(np.asarray(c).tolist() for c in columns)))
 
 
 def curvature_power_integrals(measure: StackMeasure, scalar, weyl_sq,
@@ -255,21 +255,21 @@ def _records(traj):
     return recs
 
 
-def monitor_S_evolution(traj, k: int | None = None) -> float:
+def monitor_S_evolution(traj) -> float:
     """Sup-norm residual of the evolution identity
 
         (d/dt - Lap) Sigma - 2|Sigma_ij|^2 - alpha |Lap phi|^2
 
     with Sigma the flow-normalized scalar (see module docstring).  The
-    time derivative is the central difference across snapshots
-    k-1, k, k+1, which must be uniformly spaced; with k=None the worst
-    residual over all uniform interior windows is returned.
+    time derivative is the central difference across snapshots k-1, k,
+    k+1 of window k; the worst residual over all uniformly spaced interior
+    windows is returned.
 
     Consecutive uniform windows go in chunks of at most S_CHUNK, each one
-    geometry.stacked_curvature pass over its S_CHUNK + 2 records (k= is a
-    chunk of one) that forms the identity's three terms alone, so memory is
-    bounded by about a dozen (m, S_CHUNK + 2) arrays, 0.7 MB at m = 192, for
-    any trajectory length.  Each residual equals its window's three-record evaluation bit for bit.
+    geometry.stacked_curvature pass over its S_CHUNK + 2 records that forms
+    the identity's three terms alone, so memory is bounded by about a dozen
+    (m, S_CHUNK + 2) arrays, 0.7 MB at m = 192, for any trajectory length.
+    Each residual equals its window's three-record evaluation bit for bit.
     """
     recs = _records(traj)
     times = np.array([rec.t for rec in recs])
@@ -278,12 +278,6 @@ def monitor_S_evolution(traj, k: int | None = None) -> float:
     # 1e-9 relative; the test is not-greater, so a nan spacing counts as uniform
     uniform = ~(np.abs(d1 - d2) > 1e-9 * np.maximum(d1, d2))
     spans = d1 + d2
-    if k is not None:
-        if not 1 <= k <= len(recs) - 2:
-            raise ValueError(f"window index {k} needs neighbors on both sides")
-        if not uniform[k - 1]:
-            raise ValueError("snapshots are not uniformly spaced around the window")
-        return _s_residuals(recs, np.array([k]), spans)[0]
     windows = np.flatnonzero(uniform) + 1
     if not windows.size:
         raise ValueError("need at least three uniformly spaced snapshots")
@@ -321,7 +315,7 @@ def check_min_S_monotone(traj) -> float:
 def check_gradient_bound(traj) -> float:
     """Minimum over time of the gradient-bound margin
 
-        (sup_{t'<=t} max R + eps0) - min S(0) - alpha * max |grad phi|^2(t).
+        (sup_{t'<=t} max R + EPS0) - min S(0) - alpha * max |grad phi|^2(t).
 
     Nonnegative means the bound holds along the whole run."""
     recs = _records(traj)
@@ -348,7 +342,7 @@ def check_metric_distortion(traj) -> float:
     |log L(t)/L(t0)| <= C_meas|t-t0|/2, with
     C_meas = sup over the window of (2 max|Ric| + 2 alpha max|grad phi|^2),
     over all ordered snapshot pairs (in linear time when the bound
-    holds).  Zero (up to eps0) means the estimate holds.
+    holds).  Zero (up to EPS0) means the estimate holds.
     """
     recs = _records(traj)
     logs = np.stack([rec.state.metric_logs() for rec in recs])
@@ -506,15 +500,10 @@ def ball_volume_expansion_fit(geometry: HomogeneousState, radii) -> float:
     return float(np.sum(y * radii**2) / np.sum(radii**4))
 
 
-def spacetime_norms(traj, scaled: bool = False) -> tuple[float, float]:
-    """Accumulated (int_0^T int |R|^{(n+2)/2} dmu dt, same for |W|).
-    With scaled=True both are raised to the power 2/(n+2)."""
-    recs = _records(traj)
-    nr, nw = recs[-1].monitor.acc_r, recs[-1].monitor.acc_w
-    if scaled:
-        p = 2.0 / (recs[0].state.n + 2.0)
-        nr, nw = nr**p, nw**p
-    return nr, nw
+def spacetime_norms(traj) -> tuple[float, float]:
+    """Accumulated (int_0^T int |R|^{(n+2)/2} dmu dt, same for |W|)."""
+    last = _records(traj)[-1].monitor
+    return last.acc_r, last.acc_w
 
 
 def curvature_ratio_diagnostic(traj) -> tuple[np.ndarray, np.ndarray]:

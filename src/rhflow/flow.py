@@ -56,22 +56,26 @@ _try_step makes for it (a non-finite row there rejects the step);
 nothing mutates it afterwards, so the records share it without a copy.
 
 The monitors settle in stacks: each accepted step is queued in the run's
-MonitorState (update, from _advance) and each record too (record, from
-run), and run settles the queue, one stacked pass over up to
-analysis.MONITOR_STACK rows, whenever it is full and before it returns, on
-every termination and on stop_after_steps.  Each record is then assembled
-by make_monitor_record from its settled row, so a trajectory's records and
+MonitorState (update, from _advance) and each record too, its state and
+step riding with its mark (record, from run), and run settles the queue,
+one stacked pass over up to analysis.MONITOR_STACK rows, whenever it is
+full and before it returns, on every termination and on stop_after_steps.
+The queue is the run's one list of records not yet settled: settle hands
+back each record's state and step with its settled row, from which
+make_monitor_record assembles the record.  So a trajectory's records and
 its monitor_state are those of a one-step-at-a-time evaluation, bit for
-bit, and nothing is left queued.
+bit, and nothing is left queued.  A monitor_state given to run, a
+checkpoint's, is copied first, as the initial state is: run advances its
+own.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import EPS0, MonitorRecord, MonitorState, make_monitor_record
+from .analysis import MonitorRecord, MonitorState, make_monitor_record
 from .geometry import Fiber, State, curvature_fields
 
 # Test hook: sign applied to the map-coupling term of the metric flow.
@@ -109,7 +113,6 @@ class FlowConfig:
     rate_limit: float = 0.05
     output_every: int = 1
     snapshot_every: int = 0
-    eps0: float = EPS0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -121,8 +124,6 @@ class FlowConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.dt is not None and self.dt <= _STEP_FLOOR:  # refused at every t
             raise ValueError(f"dt must exceed the step floor {_STEP_FLOOR:g}, got {self.dt}")
-        if not (0.0 <= self.eps0 < math.inf):
-            raise ValueError(f"eps0 must be finite and >= 0, got {self.eps0}")
         if not (0.0 < self.c_cfl <= _RK4_REAL_LIMIT):
             raise ValueError(f"c_cfl must lie in (0, {_RK4_REAL_LIMIT}], got {self.c_cfl}")
         if self.output_every < 1:
@@ -161,9 +162,6 @@ class Trajectory:
     final: FlowRecord
     monitor_state: MonitorState
 
-    def times(self) -> np.ndarray:
-        return np.array([rec.t for rec in self.records])
-
     @property
     def steps(self) -> int:
         return self.final.step
@@ -191,12 +189,6 @@ def rhs(state: State, y=None) -> np.ndarray:
 def _k1_from_fields(state: State, fields):
     """rhs(state), bit for bit, from the state's curvature fields."""
     return state.rates(state.arrays(), _COUPLING_SIGN, fields)
-
-
-def rhs_homogeneous(state: State) -> np.ndarray:
-    """Coefficient rates of a homogeneous state: -2(d-1) on round factors,
-    alpha*slope^2 on flat circle factors carrying a map slope, 0 otherwise."""
-    return rhs(state)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +283,10 @@ def run(config: FlowConfig, initial: State, *,
     runio.commit_leg keeps a state that two legs recorded once.
     Deterministic for a fixed config and initial state.
     steps_done/monitor_state allow bit-exact continuation from a
-    checkpoint; stop_after_steps, which must exceed steps_done,
-    interrupts the run once it has taken that many steps in all, without
-    terminating it (the trajectory then has termination None).  The
+    checkpoint (monitor_state is copied, not advanced); stop_after_steps,
+    which must exceed steps_done, interrupts the run once it has taken that
+    many steps in all, without terminating it (the trajectory then has
+    termination None).  The
     initial state must lie below blowup_threshold and before t_end, and a
     fresh leg's first step bound above the step floor.
     """
@@ -304,8 +297,7 @@ def run(config: FlowConfig, initial: State, *,
     fresh = monitor_state is None
     try:  # Python-float arithmetic on extreme data raises OverflowError
         fields = curvature_fields(state)
-        if fresh:
-            monitor_state = MonitorState.start(state, fields, config.eps0)
+        monitor_state = MonitorState.start(state, fields) if fresh else replace(monitor_state)
     except OverflowError as exc:
         raise ValueError(f"initial state out of floating-point range: {exc}") from exc
     if fields.max_rm >= config.blowup_threshold:
@@ -326,19 +318,16 @@ def run(config: FlowConfig, initial: State, *,
                              f"{config.rate_limit:g})")
 
     records: list[FlowRecord] = []
-    pending: list[tuple[State, int]] = []  # records queued in monitor_state, not yet settled
     last = None  # the step of the newest record
 
     def record():
         nonlocal last
-        monitor_state.record(state, fields)
-        pending.append((state, steps))
+        monitor_state.record(state, fields, steps)
         last = steps
 
     def settle():
-        for (rec_state, step), row in zip(pending, monitor_state.settle(), strict=True):
-            records.append(FlowRecord(rec_state, make_monitor_record(row), step))
-        pending.clear()
+        records.extend(FlowRecord(rec_state, make_monitor_record(row), step)
+                       for rec_state, step, row in monitor_state.settle())
 
     steps = steps_done
     while True:

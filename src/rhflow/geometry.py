@@ -23,18 +23,25 @@ with c = 1 for the round fiber and c = 0 for the flat one, and
                                        lam1 = K_rad + (n-2) K_fib
     |Rm|^2   = 4(n-1) K_rad^2 + 2(n-1)(n-2) K_fib^2.
 
+Such a metric is locally conformally flat (a warped product over an
+interval with a space-form fiber), so its Weyl tensor vanishes: weyl_sq,
+the remainder |Rm|^2 - 4/(n-2)|Ric|^2 + 2/((n-1)(n-2)) R^2 of the
+orthogonal decomposition, is roundoff on every warped state (about 2e-16
+of max|Rm|^2), and so are the |W| spacetime integral acc_w and verify's
+spacetime_norm_w_zero on warped runs.  Only products such as S^2 x S^2
+have W != 0.
+
 All s-derivatives are taken with second-order periodic central
 differences; second derivatives use the nested form (1/f) Dx((1/f) Dx).
 Homogeneous product states (one coefficient per factor) provide the
 closed-form oracle substrate.  Both kinds share the interface that the
-flow and the monitors use (arrays, evolved, length_volume, integrator, ...),
-the flow's rate law included: rates(y, sign, fields) gives the time
-derivatives of a block y and stable_dt() the parabolic step bound per
-unit c_cfl (infinite for products), so the flow never asks a state its
-kind.  stack_measure gives the volume measure and base-curve length of
-many states of one run at once, from their stacked metric rows, and
-map_ranges their map ranges; a state's own integrator() and
-length_volume() are a stack of one.
+flow and the monitors use (arrays, evolved, metric_logs, ...), the flow's
+rate law included: rates(y, sign, fields) gives the time derivatives of a
+block y and stable_dt() the parabolic step bound per unit c_cfl (infinite
+for products), so the flow never asks a state its kind.  stack_measure
+gives the volume measure and base-curve length of many states of one run
+at once, from their stacked metric rows, and map_ranges their map ranges;
+a state's own length_volume() is a stack of one.
 """
 from __future__ import annotations
 
@@ -102,8 +109,9 @@ class WarpedKernel:
     winding): the periodic-extension index m-1, 0, 1, ..., m-1, 0 and the
     constants 2h, n-1, n-2, c, winding and those of R and |Rm|^2, as
     read-only arrays.  warped_kernel() makes one per key and keeps it.  The
-    curvature fields, the flow's right-hand side and WarpedState.phi_x and
-    laplacian all take their derivatives here, so they agree bit for bit."""
+    curvature fields, the flow's right-hand side, stacked_curvature and
+    WarpedState.laplacian all take their derivatives here, so they agree bit
+    for bit."""
 
     def __init__(self, n: int, fiber: Fiber, m: int, winding: int):
         self.index = np.arange(-1, m + 1) % m
@@ -274,10 +282,6 @@ class WarpedState:
         """The derivative kernel of this state's n, fiber, grid and winding."""
         return warped_kernel(self.n, self.fiber, self.m, self.winding)
 
-    def phi_x(self) -> np.ndarray:
-        """Coordinate derivative of phi = winding*x + u."""
-        return self.kernel.phi_x(self.u)
-
     # -- the state interface shared with HomogeneousState --------------------
 
     positive = 2  # leading arrays() rows that must stay positive (f, psi)
@@ -298,13 +302,6 @@ class WarpedState:
         by trapezoidal quadrature on the periodic grid (which is the plain
         Riemann sum there): stack_measure's stack of one."""
         return _length_volume(self)
-
-    def integrator(self):
-        """values -> int values dmu over the manifold, with fiber_volume * h and
-        psi^{n-1} taken once from the arrays as they are now: for several fields
-        of one state, not past an in-place edit (stack_measure's stack of one)."""
-        measure = stack_measure(self, self.y[np.newaxis, :self.positive])
-        return lambda values: float(measure.integrate(values)[0])
 
     def metric_logs(self) -> np.ndarray:
         """Log of the metric coefficients in the two coordinate directions,
@@ -435,12 +432,6 @@ class HomogeneousState:
         length) and total volume, in closed form: stack_measure's stack of one."""
         return _length_volume(self)
 
-    def integrator(self):
-        """values -> int values dmu of a constant (length-1) field, with the
-        volume taken once."""
-        vol = self.length_volume()[1]
-        return lambda values: float(values[0]) * vol
-
     def metric_logs(self) -> np.ndarray:
         """Log of the per-factor coefficients."""
         return np.log(self.coefficients())
@@ -523,10 +514,6 @@ class CurvatureFields:
     @cached_property
     def ric_op(self) -> np.ndarray:
         return np.maximum(np.abs(self.lam0), np.abs(self.lam1))
-
-    @property
-    def max_ric(self) -> float:
-        return float(self.ric_op.max())
 
 
 def _flow_scalar(scalar, alpha: float, grad_phi_sq):

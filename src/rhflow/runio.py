@@ -326,6 +326,10 @@ def load_checkpoint(path, config: FlowConfig | None = None, initial: State | Non
         raise
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if "eps0" in stored:
+        raise CheckpointError(f"checkpoint {path} holds an eps0 setting and an 8-value "
+                              f"monitor state; it was written by an older rhflow and "
+                              f"cannot be resumed")
     may_overflow = np.isin([f.name for f in fields(MonitorState)], MonitorState.INTEGRALS)
     if vals.shape != may_overflow.shape or not np.all(
             np.isfinite(vals) | may_overflow & (vals == np.inf)):

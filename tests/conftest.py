@@ -1,0 +1,11 @@
+"""Fixtures shared by several test modules."""
+import pytest
+
+from rhflow.verification import run_verification
+
+
+@pytest.fixture(scope="session")
+def verify_report():
+    """The report of one run_verification(): its 13 trajectories are read,
+    never changed, by every test that takes it."""
+    return run_verification()

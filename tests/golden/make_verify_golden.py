@@ -58,14 +58,14 @@ def summary(traj) -> dict:
             "final_monitor": monitor_row(traj.final)}
 
 
-def trajectories() -> dict[str, dict]:
-    report = run_verification()
+def trajectories(report) -> dict[str, dict]:
+    """The summary of each trajectory of a run_verification() report."""
     return {f"{sid}/{name}": summary(traj) for (sid, name), traj in report.trajectories.items()}
 
 
 def main():
     golden = {"numpy": np.__version__, "platform": platform.platform(),
-              "trajectories": trajectories()}
+              "trajectories": trajectories(run_verification())}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {len(golden['trajectories'])} trajectories to {GOLDEN}")
 

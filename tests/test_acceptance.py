@@ -17,7 +17,6 @@ from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState,
                              compute_curvature, scale_state)
 from rhflow.oracles import Scenario, exact_state
 from rhflow.runio import read_manifest
-from rhflow.verification import run_verification
 
 
 def _report(num, desc, ok, detail=""):
@@ -28,8 +27,8 @@ def _report(num, desc, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def suite():
-    return run_verification()
+def suite(verify_report):
+    return verify_report
 
 
 def _rows(suite, check):
@@ -120,7 +119,7 @@ def test_criterion_06_gradient_bound(suite):
 def test_criterion_07_metric_distortion(suite):
     worst = max(analysis.check_metric_distortion(traj)
                 for traj in suite.trajectories.values())
-    _report(7, "coefficient and arc-length distortion within measured C (eps0=1e-8)",
+    _report(7, "coefficient and arc-length distortion within measured C (EPS0=1e-8)",
             worst <= 1e-8, f"worst excess {worst:.2e}")
 
 

@@ -88,6 +88,15 @@ def test_unknown_field_is_named(tmp_path, capsys):
     assert "coupling" in capsys.readouterr().err
 
 
+def test_eps0_is_not_a_config_field(tmp_path, capsys):
+    # the gradient-bound slack is the constant analysis.EPS0, not a setting
+    cfg = write_config(tmp_path, CYLINDER_CONFIG + "eps0: 1.0e-8\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out)]) == 2
+    assert "config error: unknown config field 'eps0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_yaml_error_reports_line(tmp_path, capsys):
     cfg = write_config(tmp_path, "scenario: [unclosed\nn: 4\n")
     assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 2
@@ -136,7 +145,7 @@ def test_parse_config_validation():
         parse_config(dict(raw, output_every=10, snapshot_every=15))
     # nan and inf would run: no steps for t_end, no rate limit, no blow-up test
     for key, value in (("t_end", math.nan), ("t_end", math.inf), ("rate_limit", math.nan),
-                       ("blowup_threshold", math.nan), ("eps0", math.nan),
+                       ("blowup_threshold", math.nan),
                        ("dt", math.nan), ("alpha", math.nan), ("m", -math.inf)):
         with pytest.raises(ConfigError) as err:
             parse_config(dict(raw, **{key: value}))
@@ -322,13 +331,13 @@ def test_resume_after_the_spacetime_integral_overflows(tmp_path):
 
 
 @pytest.mark.parametrize("index, value", [
-    *((i, math.nan) for i in range(8)), *((i, math.inf) for i in (0, 1, 4, 7)),
+    *((i, math.nan) for i in range(7)), *((i, math.inf) for i in (0, 1, 4)),
     (2, -math.inf), (6, -math.inf),
 ])
 def test_checkpoint_monitor_state_is_finite_but_for_overflowed_integrals(tmp_path, index,
                                                                          value):
     # MonitorState's fields: min_s0, sup_r, acc_r, acc_w, prev_t, prev_ir,
-    # prev_iw, eps0; only the four integrals may read +inf
+    # prev_iw; only the four integrals may read +inf
     cfg = write_config(tmp_path, CYLINDER_CONFIG)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "-o", str(out), "--max-steps", "50"]) == 0
@@ -380,6 +389,28 @@ def test_resume_refuses_checkpoint_of_an_older_layout(tmp_path, capsys):
     assert main(["resume", str(out)]) == 2
     assert (f"checkpoint error: checkpoint {out / 'checkpoint.npz'} has no run config; it "
             f"was written by an older rhflow and cannot be resumed") in capsys.readouterr().err
+    assert directory_bytes(out) == before
+
+
+def test_resume_refuses_checkpoint_with_the_eps0_slot(tmp_path, capsys):
+    # the layout before the slack became a constant: eps0 in the config and
+    # as the monitor state's eighth value
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    out = tmp_path / "out"
+    main(["run", str(cfg), "-o", str(out), "--max-steps", "10"])
+    with np.load(out / "checkpoint.npz") as data:
+        arrays = dict(data)
+    config = json.loads(str(arrays["config"]))
+    assert "eps0" not in config and arrays["mon"].shape == (7,)
+    arrays["config"] = json.dumps({**config, "eps0": 1e-08})
+    arrays["mon"] = np.append(arrays["mon"], 1e-08)
+    np.savez(out / "checkpoint.npz", **arrays)
+    before = directory_bytes(out)
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert (f"checkpoint error: checkpoint {out / 'checkpoint.npz'} holds an eps0 setting and "
+            f"an 8-value monitor state; it was written by an older rhflow and cannot be "
+            f"resumed") in capsys.readouterr().err
     assert directory_bytes(out) == before
 
 
@@ -442,10 +473,6 @@ RESUME_EDITS = [
     ("c_cfl", CYLINDER_CONFIG, ("m: 16", "m: 16\nc_cfl: 0.5"), 1.0, 0.5),
     ("dt", CYLINDER_CONFIG, ("dt: 1.0e-3", "dt: 5.0e-4"), 0.001, 0.0005),
     ("rate_limit", CYLINDER_CONFIG, ("m: 16", "m: 16\nrate_limit: 0.1"), 0.05, 0.1),
-    # a shrinking_cylinder at m=32 resumed with this edit ran on the
-    # checkpoint's eps0 while its manifest recorded the new one
-    ("eps0", CYLINDER_CONFIG.replace("m: 16", "m: 32"), ("m: 32", "m: 32\neps0: 0.5"),
-     1e-08, 0.5),
     ("params", CYLINDER_CONFIG, ("psi0: 1.0", "psi0: 2.0"), {"psi0": 1.0}, {"psi0": 2.0}),
     # a params entry the resumed run never read, recorded in its manifest
     ("params", TORUS_CONFIG, ("amplitude: 0.1", "amplitude: 0.3"),
@@ -466,7 +493,7 @@ def test_resume_edits_cover_every_config_key():
 
 
 @pytest.mark.parametrize("key, base, edit, old, new", RESUME_EDITS, ids=[
-    "scenario", "n", "alpha", "m", "c_cfl", "dt", "rate_limit", "eps0", "params",
+    "scenario", "n", "alpha", "m", "c_cfl", "dt", "rate_limit", "params",
     "params_amplitude", "representation", "t_end", "blowup_threshold", "output_every",
     "snapshot_every"])
 def test_resume_accepts_only_resumable_config_edits(tmp_path, capsys, key, base, edit,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from rhflow import analysis, flow
 from rhflow.convergence import spatial_study, temporal_study
-from rhflow.flow import FlowConfig, StepError, rhs, rhs_homogeneous, run, step
+from rhflow.flow import FlowConfig, StepError, rhs, run, step
 from rhflow.geometry import Factor, Fiber, Grid, HomogeneousState, WarpedState, \
     curvature_fields, scale_state
 from rhflow.oracles import Scenario, default_scenario, exact_state
@@ -114,12 +115,28 @@ def test_run_torus_final_coefficient():
     assert abs(a - 2.0) / 2.0 <= 1e-6
 
 
+def test_a_resumed_leg_leaves_the_given_monitor_state_alone():
+    # a library resume from a first leg's trajectory: run advances a copy,
+    # so the first trajectory keeps the monitor state it ended on
+    scn = Scenario("shrinking_cylinder", 4, 0.0)
+    cfg = FlowConfig(scenario=scn.id, n=4, alpha=0.0, m=16, dt=1e-3, t_end=0.05,
+                     output_every=10)
+    first = run(cfg, exact_state(scn, 0.0, 16), stop_after_steps=20)
+    given = first.monitor_state
+    kept = dataclasses.astuple(given)
+    second = run(cfg, first.final_state, steps_done=20, monitor_state=given)
+    assert first.monitor_state is given and dataclasses.astuple(given) == kept
+    assert given.prev_t == first.final_t and second.monitor_state is not given
+    whole = run(cfg, exact_state(scn, 0.0, 16))
+    assert dataclasses.astuple(second.monitor_state) == dataclasses.astuple(whole.monitor_state)
+
+
 def test_run_records_strictly_increasing():
     scn = Scenario("torus_list", 2, 1.0, winding=1)
     cfg = FlowConfig(scenario=scn.id, n=2, alpha=1.0, m=16, dt=1e-3, t_end=0.05,
                      output_every=7)
     traj = run(cfg, exact_state(scn, 0.0, 16))
-    times = traj.times()
+    times = np.array([rec.t for rec in traj.records])
     assert np.all(np.diff(times) > 0)
     assert traj.termination == "reached_t_end"
 
@@ -155,7 +172,7 @@ def test_run_homogeneous_all_flat_constant():
 def test_rhs_homogeneous_rates():
     state = HomogeneousState(4, 2.0, (Factor(1.5, Fiber.FLAT_TORUS, 1, slope=2.0),
                                       Factor(3.0, Fiber.ROUND_SPHERE, 3)))
-    rates = rhs_homogeneous(state)
+    rates = rhs(state)[0]
     assert rates[0] == pytest.approx(2.0 * 4.0)   # alpha * slope^2
     assert rates[1] == pytest.approx(-4.0)        # -2(d-1)
 
@@ -282,15 +299,12 @@ def test_config_validation():
     assert FlowConfig(dt=2e-15).dt == 2e-15
     with pytest.raises(ValueError):
         FlowConfig(output_every=0)
-    assert FlowConfig(eps0=0.0).eps0 == 0.0
-    with pytest.raises(ValueError, match="eps0 must be finite and >= 0"):
-        FlowConfig(eps0=-1e-8)
 
 
 # nan passes a `<= 0` test, so each field is checked with nan and inf (config
 # files refuse both before FlowConfig sees them)
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["t_end", "dt", "rate_limit", "blowup_threshold", "eps0"])
+@pytest.mark.parametrize("name", ["t_end", "dt", "rate_limit", "blowup_threshold"])
 def test_config_refuses_non_finite(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite and"):
         FlowConfig(**{name: value})
@@ -344,7 +358,7 @@ def test_reduced_flow_matches_tensor_equation_via_oracle():
     dg_xx = (nxt.f**2 - prev.f**2) / (2.0 * dt)
     dg_fib = (nxt.psi**2 - prev.psi**2) / (2.0 * dt)
     lam0, lam1 = oracle_ricci_eigenvalues(mid)
-    want_xx = -2.0 * mid.f**2 * lam0 + alpha * mid.phi_x() ** 2
+    want_xx = -2.0 * mid.f**2 * lam0 + alpha * mid.kernel.phi_x(mid.u) ** 2
     want_fib = -2.0 * mid.psi**2 * lam1
 
     assert np.max(np.abs(dg_xx - want_xx)) <= 2e-4 * (1.0 + np.max(np.abs(want_xx)))

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from rhflow.geometry import (Factor, Fiber, Grid, HomogeneousState, WarpedState,
                              compute_curvature, compute_curvature_homogeneous,
-                             curvature_fields, scale_state)
+                             curvature_fields, scale_state, stack_measure)
 
 TWO_PI = 2.0 * math.pi
 
@@ -255,8 +255,9 @@ def test_state_interface(state):
     back = state.evolved(arrays, 0.5)
     assert type(back) is type(state) and back.t == 0.5
     assert all(np.array_equal(a, b) for a, b in zip(back.arrays(), arrays))
-    ones = np.ones_like(arrays[0])
-    assert state.integrator()(ones) == state.length_volume()[1]
+    ones = np.ones_like(curvature_fields(state).scalar)  # a field: m values, or 1
+    measure = stack_measure(state, arrays[np.newaxis, :state.positive])
+    assert measure.integrate(ones)[0] == state.length_volume()[1]
     assert np.all(state.laplacian(ones) == 0.0)
 
 
@@ -277,3 +278,43 @@ def test_stored_max_rm_is_the_root_of_max_rm_sq(state):
     want = float(np.sqrt(np.max(fields.rm_sq)))
     assert vars(fields)["max_rm"] > 0.0
     assert np.float64(fields.max_rm).tobytes() == np.float64(want).tobytes()
+
+
+# --------------------------------------------------------------------------
+# the Weyl tensor: zero on every warped state, nonzero only on products
+
+
+def random_warped_state(rng, n, fiber, winding, m=64):
+    x = Grid(m).x
+    modes = np.arange(1, 4)
+
+    def trig(scale):
+        a, b = rng.uniform(-scale, scale, size=(2, 3))
+        return np.cos(np.outer(x, modes)) @ a + np.sin(np.outer(x, modes)) @ b
+
+    return WarpedState(n, fiber, float(rng.uniform(0.3, 1.5)), 1.0 + trig(0.1),
+                       1.0 + trig(0.2), winding, trig(0.3))
+
+
+@pytest.mark.parametrize("winding", [0, 1, 2])
+@pytest.mark.parametrize("fiber", list(Fiber))
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_weyl_is_roundoff_on_warped_states(n, fiber, winding):
+    # f^2 dx^2 + psi^2 g_F over a space-form fiber is locally conformally
+    # flat, so weyl_sq is what is left of cancelling terms of size |Rm|^2
+    rng = np.random.default_rng([n, winding, fiber is Fiber.FLAT_TORUS])
+    for _ in range(3):
+        fields = compute_curvature(random_warped_state(rng, n, fiber, winding))
+        bound = 64.0 * np.finfo(float).eps * np.max(fields.rm_sq)
+        assert np.max(np.abs(fields.weyl_sq)) <= bound
+
+
+@pytest.mark.parametrize("factors, weyl_sq, rm_sq", [
+    ((Factor(1.0, Fiber.ROUND_SPHERE, 2), Factor(1.0, Fiber.ROUND_SPHERE, 2)), 16.0 / 3.0, 8.0),
+    ((Factor(2.0, Fiber.ROUND_SPHERE, 2), Factor(1.0, Fiber.FLAT_TORUS, 2)), 1.0 / 3.0, 1.0),
+    ((Factor(1.0, Fiber.FLAT_TORUS, 1), Factor(1.0, Fiber.ROUND_SPHERE, 3)), 0.0, 12.0),
+], ids=["S2xS2", "S2(a=2)xT2", "S1xS3"])
+def test_weyl_of_products_in_closed_form(factors, weyl_sq, rm_sq):
+    fields = compute_curvature_homogeneous(HomogeneousState(4, 0.0, factors))
+    assert fields.rm_sq[0] == pytest.approx(rm_sq, rel=1e-15)
+    assert abs(fields.weyl_sq[0] - weyl_sq) <= 64.0 * np.finfo(float).eps * rm_sq

@@ -147,10 +147,9 @@ def test_library_runs_do_not_depend_on_the_stack(monkeypatch, size, make):
             warnings.simplefilter("error", RuntimeWarning)
             whole = flow.run(cfg, initial)
             first = flow.run(cfg, initial, stop_after_steps=11)
-            first_bytes = monitor_bytes(first)  # before the next leg advances its state
             rest = flow.run(cfg, first.final_state, steps_done=11,
                             monitor_state=first.monitor_state)
-        return whole, monitor_bytes(whole), first_bytes, monitor_bytes(rest)
+        return whole, monitor_bytes(whole), monitor_bytes(first), monitor_bytes(rest)
 
     with monkeypatch.context() as patch:
         _patched(patch, None)

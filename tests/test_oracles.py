@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rhflow.flow import rhs, rhs_homogeneous
+from rhflow.flow import rhs
 from rhflow.geometry import WarpedState
 from rhflow.cli import build_parser
 from rhflow.oracles import (SCENARIO_IDS, SCENARIOS, Scenario, default_scenario,
@@ -47,7 +47,7 @@ def test_exact_warped_state_satisfies_rhs(scn, t):
 ])
 def test_exact_homogeneous_state_satisfies_rhs(scn, t):
     state = exact_state(scn, t, representation="homogeneous")
-    rates = rhs_homogeneous(state)
+    rates = rhs(state)[0]
     fd = _fd_time_derivative(
         lambda s: exact_state(scn, s, representation="homogeneous").coefficients(), t)
     assert np.max(np.abs(rates - fd)) <= 1e-10
