@@ -440,10 +440,6 @@ class HomogeneousState:
     def map_single_valued(self) -> bool:
         return all(fac.slope == 0.0 for fac in self.factors)
 
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Zero: every field on a homogeneous state is constant."""
-        return np.zeros_like(values)
-
     def rates(self, y: np.ndarray, sign: float, fields=None) -> np.ndarray:
         """The (1, k) coefficient rates: -2(d-1) on round factors,
         sign*alpha*slope^2 on flat circle factors carrying a map slope, 0

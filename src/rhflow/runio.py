@@ -4,8 +4,10 @@ manifests, and the run directory that holds them.
 One canonical config format (YAML, documented in the README), one
 line-delimited JSON time-series format, and float64 .npz snapshots (one
 file per run leg) chosen so checkpointed state round-trips bit-exactly
-for resume.  Snapshot files, checkpoints and manifests are replaced
-atomically.  This module alone names, writes and reads a run directory.
+for resume.  Snapshot files and checkpoints hold only what a leg changes
+and the FORMAT of their layout; their readers rebuild each state from the
+run's initial state.  Snapshot files, checkpoints and manifests are
+replaced atomically.  This module alone names, writes and reads a run directory.
 
 PyYAML is imported in load_config, the only reader of a config file, so
 the library, `rhflow verify` and `rhflow converge` start without it.
@@ -25,7 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import MonitorState
 from .flow import FlowConfig, Trajectory
-from .geometry import Factor, Fiber, HomogeneousState, State, WarpedState
+from .geometry import State, WarpedState
 from .oracles import SCENARIO_IDS, SCENARIOS, Scenario, scenario_run
 
 SERIES_FIELDS = ("t", "min_s", "max_s", "max_grad_phi_sq", "max_ric", "max_rm",
@@ -150,7 +152,7 @@ def config_to_dict(cfg: FlowConfig, state: State) -> dict:
     """cfg as plain values, with the kind of state (a state of the run) as representation."""
     out = asdict(cfg)
     out["fiber"] = cfg.fiber.value
-    out["representation"] = _state_constants(state)["kind"]
+    out["representation"] = _representation(state)
     return out
 
 
@@ -217,79 +219,80 @@ def _replace_atomically(path, write):
         raise
 
 
-# The arrays a state evolves, by state kind, in State.arrays() order.
-_ARRAY_KEYS = {"warped": ("f", "psi", "u"), "homogeneous": ("coeffs",)}
+# The layout of snapshot and checkpoint files, stored under "format" in
+# each; a reader refuses a file of any other (or of none: files written
+# before the layout was numbered).  Bump it with every layout change.
+FORMAT = 1
+
+# The key of each arrays() row in a state file, by representation.
+_ROW_KEYS = {"warped": ("f", "psi", "u"), "homogeneous": ("coeffs",)}
 
 
-def _state_constants(state: State) -> dict:
-    """The keys a run keeps fixed, as plain values (comparable with ==)."""
-    if isinstance(state, WarpedState):
-        return dict(kind="warped", n=state.n, alpha=state.alpha,
-                    fiber=state.fiber.value, winding=state.winding)
-    return dict(kind="homogeneous", n=state.n, alpha=state.alpha,
-                factor_kinds=[fac.kind.value for fac in state.factors],
-                factor_dims=[fac.dim for fac in state.factors],
-                factor_slopes=[fac.slope for fac in state.factors])
+def _representation(state: State) -> str:
+    return "warped" if isinstance(state, WarpedState) else "homogeneous"
 
 
-def _state_arrays(state: State) -> dict:
-    constants = _state_constants(state)
-    return dict(constants, t=state.t, **dict(zip(_ARRAY_KEYS[constants["kind"]],
-                                                 state.arrays())))
-
-
-def _state_from_arrays(data) -> State:
-    kind = str(data["kind"])
-    if kind == "warped":
-        return WarpedState(int(data["n"]), Fiber(str(data["fiber"])), float(data["alpha"]),
-                           np.asarray(data["f"], dtype=float),
-                           np.asarray(data["psi"], dtype=float),
-                           int(data["winding"]), np.asarray(data["u"], dtype=float),
-                           float(data["t"]))
-    if kind == "homogeneous":
-        factors = tuple(
-            Factor(float(a), Fiber(str(k)), int(d), float(s))
-            for a, k, d, s in zip(data["coeffs"], data["factor_kinds"],
-                                  data["factor_dims"], data["factor_slopes"]))
-        return HomogeneousState(int(data["n"]), float(data["alpha"]), factors,
-                                float(data["t"]))
-    raise CheckpointError(f"unknown state kind {kind!r}")
-
-
-def save_snapshot(path, states: list[State], steps: list[int]):
-    """Write the states of one run leg, in step order, to one file: the
-    run constants once, and step, t and each state array stacked along a
-    leading axis with one entry per state."""
-    if not states or len(states) != len(steps) or np.any(np.diff(steps) <= 0):
-        raise ValueError("a snapshot file needs one state per step, in increasing step order")
-    constants = _state_constants(states[0])
-    if any(_state_constants(state) != constants for state in states[1:]):
-        raise ValueError("the states of a snapshot file must come from one run")
-    columns = zip(*(state.arrays() for state in states))
-    stacked = {key: np.stack(column)
-               for key, column in zip(_ARRAY_KEYS[constants["kind"]], columns)}
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    _replace_atomically(path, lambda fh: np.savez(
-        fh, **constants, step=np.array(steps), t=np.array([state.t for state in states]),
-        **stacked))
-
-
-def load_snapshot(path) -> list[tuple[State, int]]:
-    """The (state, step) pairs of a snapshot file, in step order, bit-exact.
-    A file in the one-state layout of older rhflow versions is refused."""
+def _read_state_file(path, what: str) -> dict:
+    """Every array of a snapshot or checkpoint file (what says which) of
+    this FORMAT."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             data = {key: npz[key] for key in npz.files}
-        per_state = _ARRAY_KEYS[str(data["kind"])] + ("t",)
-        steps = data["step"]
     except Exception as exc:
-        raise CheckpointError(f"cannot read snapshot {path}: {exc}") from exc
-    if steps.ndim != 1:
-        raise CheckpointError(f"snapshot {path} holds a single state in the old "
-                              f"state_NNNNNNNN.npz layout; this rhflow reads only "
-                              f"per-leg states_<first>_<last>.npz files")
-    return [(_state_from_arrays({**data, **{key: data[key][i] for key in per_state}}),
-             int(step)) for i, step in enumerate(steps)]
+        raise CheckpointError(f"cannot read {what} {path}: {exc}") from exc
+    held = repr(data["format"].tolist()) if "format" in data else "none"
+    if held != repr(FORMAT):
+        raise CheckpointError(f"{what} {path} is in format {held}; this rhflow reads only "
+                              f"format {FORMAT}")
+    return data
+
+
+def _states(path, what: str, initial: State, data: dict) -> list[tuple[State, int]]:
+    """(initial.evolved(block, t), step) for each step of a state file: the
+    checkpoint's one (a scalar step and t), or a snapshot's one per state
+    (a leading axis of step, t and each row array).  A block of another
+    shape than the run's state, or a state that evolved() refuses, is
+    refused naming the file."""
+    want = initial.arrays().shape
+    try:
+        steps, times = data["step"], np.asarray(data["t"], dtype=float)
+        blocks = np.stack([data[key] for key in _ROW_KEYS[_representation(initial)]],
+                          axis=steps.ndim)
+    except KeyError as exc:
+        raise CheckpointError(f"{what} {path} has no {exc} array") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"cannot read {what} {path}: {exc}") from exc
+    if blocks.shape != steps.shape + want:
+        raise CheckpointError(f"{what} {path} holds arrays of shape {blocks.shape}; the run's "
+                              f"state has {want}" + (f" at each of {steps.size} steps"
+                                                     if steps.ndim else ""))
+    if times.shape != steps.shape:
+        raise CheckpointError(f"{what} {path} holds t of shape {times.shape} for steps of "
+                              f"shape {steps.shape}")
+    try:
+        return [(initial.evolved(block, t), step) for block, t, step in
+                zip(blocks.reshape(-1, *want), times.ravel().tolist(), steps.ravel().tolist())]
+    except ValueError as exc:
+        raise CheckpointError(f"{what} {path} holds a state the run refuses: {exc}") from exc
+
+
+def save_snapshot(path, states: list[State], steps: list[int]):
+    """Write the states of one run leg, in step order, to one file: step, t
+    and each arrays() row stacked along a leading axis with one entry per
+    state."""
+    if not states or len(states) != len(steps) or np.any(np.diff(steps) <= 0):
+        raise ValueError("a snapshot file needs one state per step, in increasing step order")
+    rows = np.stack([state.arrays() for state in states], axis=1)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    _replace_atomically(path, lambda fh: np.savez(
+        fh, format=FORMAT, step=np.array(steps), t=np.array([state.t for state in states]),
+        **dict(zip(_ROW_KEYS[_representation(states[0])], rows))))
+
+
+def load_snapshot(path, initial: State) -> list[tuple[State, int]]:
+    """The (state, step) pairs of a snapshot file of the run whose initial
+    state is initial (its config's), in step order, bit-exact."""
+    return _states(path, "snapshot", initial, _read_state_file(path, "snapshot"))
 
 
 # The config keys a resumed leg may change: where and how often it stops
@@ -300,47 +303,41 @@ RESUMABLE = ("t_end", "blowup_threshold", "output_every", "snapshot_every")
 
 
 def save_checkpoint(path, traj: Trajectory, rows: int):
-    """Commit a leg: its final state and monitor accumulators (MonitorState's
-    fields in order), the run's config as one JSON string, and rows, the
-    series rows written so far."""
+    """Commit a leg: its final state's arrays() rows and t, its step and
+    monitor accumulators (MonitorState's fields in order), the run's config
+    as one JSON string, and rows, the series rows written so far."""
+    state = traj.final_state
     _replace_atomically(path, lambda fh: np.savez(
-        fh, step=traj.steps, rows=rows, mon=np.array(astuple(traj.monitor_state)),
-        config=json.dumps(config_to_dict(traj.config, traj.final_state)),
-        **_state_arrays(traj.final_state)))
+        fh, format=FORMAT, step=traj.steps, t=state.t, rows=rows,
+        mon=np.array(astuple(traj.monitor_state)),
+        config=json.dumps(config_to_dict(traj.config, state)),
+        **dict(zip(_ROW_KEYS[_representation(state)], state.arrays()))))
 
 
-def load_checkpoint(path, config: FlowConfig | None = None, initial: State | None = None):
-    """Returns (state, steps, MonitorState, rows).  Raises CheckpointError
-    on unreadable data, and, given the run's config and initial state, on
-    any difference from the checkpoint's config outside RESUMABLE."""
+def load_checkpoint(path, config: FlowConfig, initial: State):
+    """Returns (state, steps, MonitorState, rows) of the checkpoint of the
+    run with the given config and initial state; the state is
+    initial.evolved of the stored arrays.  Raises CheckpointError on a file
+    of another format, on any difference from the checkpoint's config
+    outside RESUMABLE, and on unreadable data."""
+    data = _read_state_file(path, "checkpoint")
     try:
-        with np.load(path, allow_pickle=False) as data:
-            if "config" not in data:
-                raise CheckpointError(f"checkpoint {path} has no run config; it was "
-                                      f"written by an older rhflow and cannot be resumed")
-            state = _state_from_arrays(data)
-            steps, rows = int(data["step"]), int(data["rows"])
-            vals = np.asarray(data["mon"], dtype=float)
-            stored = json.loads(str(data["config"]))
-    except CheckpointError:
-        raise
-    except Exception as exc:
+        rows = int(data["rows"])
+        vals = np.asarray(data["mon"], dtype=float)
+        stored = json.loads(str(data["config"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if "eps0" in stored:
-        raise CheckpointError(f"checkpoint {path} holds an eps0 setting and an 8-value "
-                              f"monitor state; it was written by an older rhflow and "
-                              f"cannot be resumed")
+    # the stored side went through a JSON round trip; so does this one
+    wanted = json.loads(json.dumps(config_to_dict(config, initial)))
+    for key in dict.fromkeys([*wanted, *stored]):
+        if key not in RESUMABLE and stored.get(key) != wanted.get(key):
+            raise CheckpointError(f"checkpoint {key} {stored.get(key)} does not match "
+                                  f"config {key} {wanted.get(key)}")
     may_overflow = np.isin([f.name for f in fields(MonitorState)], MonitorState.INTEGRALS)
     if vals.shape != may_overflow.shape or not np.all(
             np.isfinite(vals) | may_overflow & (vals == np.inf)):
         raise CheckpointError(f"checkpoint {path} has malformed monitor state")
-    if config is not None:
-        # the stored side went through a JSON round trip; so does this one
-        wanted = json.loads(json.dumps(config_to_dict(config, initial)))
-        for key in dict.fromkeys([*wanted, *stored]):
-            if key not in RESUMABLE and stored.get(key) != wanted.get(key):
-                raise CheckpointError(f"checkpoint {key} {stored.get(key)} does not match "
-                                      f"config {key} {wanted.get(key)}")
+    [(state, steps)] = _states(path, "checkpoint", initial, data)
     return state, steps, MonitorState(*vals), rows
 
 

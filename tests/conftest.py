@@ -1,6 +1,8 @@
 """Fixtures shared by several test modules."""
 import pytest
 
+from rhflow.convergence import studies_for
+from rhflow.oracles import SCENARIO_IDS, default_scenario
 from rhflow.verification import run_verification
 
 
@@ -9,3 +11,9 @@ def verify_report():
     """The report of one run_verification(): its 13 trajectories are read,
     never changed, by every test that takes it."""
     return run_verification()
+
+
+@pytest.fixture(scope="session")
+def converge_studies():
+    """{scenario id: the studies `rhflow converge` runs on it}, computed once."""
+    return {sid: studies_for(default_scenario(sid)) for sid in SCENARIO_IDS}

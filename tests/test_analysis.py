@@ -69,9 +69,11 @@ def test_s_evolution_torus_refines_in_dt():
     assert fit_order(dts, residuals) >= 1.9, residuals
 
 
-def test_s_evolution_joint_refinement_perturbed_cylinder():
-    scn = Scenario("perturbed_cylinder", 4, 1.0, winding=0, amplitude=0.05)
-    res = s_residual_study(scn, [32, 64, 128], theta=0.05, t_star=0.05)
+def test_s_evolution_joint_refinement_perturbed_cylinder(converge_studies):
+    # converge's study on perturbed_cylinder (n 4, alpha 1, amplitude 0.05):
+    # s_residual_study at m = 32, 64, 128 with theta 0.05 and t_star 0.05
+    res = converge_studies["perturbed_cylinder"][1]
+    assert (res.name, res.scales) == ("s_residual", [2.0 * np.pi / m for m in (32, 64, 128)])
     assert res.order >= 1.9, res.errors
 
 
@@ -522,8 +524,10 @@ def reference_window(recs, k):
         raise ValueError("snapshots are not uniformly spaced around the window")
     f_prev, f_mid, f_next = (curvature_fields(recs[i].state) for i in (k - 1, k, k + 1))
     dsdt = (f_next.s_flow - f_prev.s_flow) / span
-    lap_s = recs[k].state.laplacian(f_mid.s_flow)
-    alpha = recs[k].state.alpha
+    state = recs[k].state
+    # every field of a homogeneous state is constant: its Laplacian is zero
+    lap_s = state.laplacian(f_mid.s_flow) if isinstance(state, WarpedState) else 0.0
+    alpha = state.alpha
     resid = dsdt - lap_s - 2.0 * f_mid.flow_tensor_sq - alpha * f_mid.lap_phi**2
     return float(np.max(np.abs(resid)))
 

@@ -47,6 +47,11 @@ def write_config(tmp_path, text, name="config.yaml"):
     return path
 
 
+def load_checkpoint(rundir):
+    """runio.load_checkpoint of a run directory, read against its config."""
+    return runio.load_checkpoint(rundir / "checkpoint.npz", *load_config(rundir / "config.yaml"))
+
+
 def test_run_flat_scenario(tmp_path):
     cfg = write_config(tmp_path, FLAT_CONFIG)
     out = tmp_path / "out"
@@ -345,12 +350,12 @@ def test_checkpoint_monitor_state_is_finite_but_for_overflowed_integrals(tmp_pat
         arrays = dict(data)
     arrays["mon"][[2, 3, 5, 6]] = math.inf
     np.savez(out / "checkpoint.npz", **arrays)
-    monitor_state = runio.load_checkpoint(out / "checkpoint.npz")[2]
+    monitor_state = load_checkpoint(out)[2]
     assert [getattr(monitor_state, name) for name in monitor_state.INTEGRALS] == [math.inf] * 4
     arrays["mon"][index] = value
     np.savez(out / "checkpoint.npz", **arrays)
     with pytest.raises(CheckpointError, match="malformed monitor state"):
-        runio.load_checkpoint(out / "checkpoint.npz")
+        load_checkpoint(out)
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -373,44 +378,121 @@ def test_resume_corrupt_run_file(tmp_path, capsys, name, text, message):
     assert directory_bytes(out) == before
 
 
-def test_resume_refuses_checkpoint_of_an_older_layout(tmp_path, capsys):
-    # the layout before the checkpoint carried the run's config: scenario
-    # and step control as separate keys (dt NaN when unset), no config, no
-    # row count; it cannot show which run it continues
+def without_format(arrays):
+    return {key: value for key, value in arrays.items() if key != "format"}
+
+
+# CYLINDER_CONFIG's run constants as state files stored them, beside the
+# config, before the file format was numbered
+OLD_CONSTANTS = dict(kind="warped", n=4, alpha=0.0, fiber="round_sphere", winding=0)
+
+
+def checkpoint_with_the_eps0_slot(arrays):
+    # eps0 in the config and as the monitor state's eighth value
+    config = json.loads(str(arrays["config"]))
+    return {**without_format(arrays), **OLD_CONSTANTS,
+            "config": json.dumps({**config, "eps0": 1e-08}),
+            "mon": np.append(arrays["mon"], 1e-08)}
+
+
+# Each layout this rhflow refuses: (file, the edit of its arrays that writes
+# that layout, the format it holds).  Every layout before FORMAT was stored
+# holds none, as a file the last unnumbered layout wrote does.
+REFUSED_LAYOUTS = {
+    "checkpoint_of_the_last_unnumbered_layout":
+        ("checkpoint", lambda arrays: {**without_format(arrays), **OLD_CONSTANTS}, "none"),
+    # scenario and step control as separate keys, no config, no row count
+    "checkpoint_without_config":
+        ("checkpoint", lambda arrays: {
+            **{key: value for key, value in without_format(arrays).items()
+               if key not in ("config", "rows")},
+            **OLD_CONSTANTS, "scenario": "shrinking_cylinder", "c_cfl": 1.0, "dt": 1.0e-3,
+            "rate_limit": 0.05}, "none"),
+    "checkpoint_with_the_eps0_slot": ("checkpoint", checkpoint_with_the_eps0_slot, "none"),
+    "checkpoint_of_a_newer_format":
+        ("checkpoint", lambda arrays: {**arrays, "format": runio.FORMAT + 1},
+         str(runio.FORMAT + 1)),
+    "snapshot_of_the_last_unnumbered_layout":
+        ("snapshot", lambda arrays: {**without_format(arrays), **OLD_CONSTANTS}, "none"),
+    # one state per file, with a scalar step
+    "one_state_snapshot":
+        ("snapshot", lambda arrays: {**OLD_CONSTANTS, **{
+            key: arrays[key][0] for key in ("step", "t", "f", "psi", "u")}}, "none"),
+    "snapshot_of_a_newer_format":
+        ("snapshot", lambda arrays: {**arrays, "format": runio.FORMAT + 1},
+         str(runio.FORMAT + 1)),
+}
+
+
+@pytest.mark.parametrize("layout", REFUSED_LAYOUTS)
+def test_a_state_file_of_another_format_is_refused(tmp_path, capsys, layout):
+    # one rule for every other layout: the message names the file, the
+    # format it holds and the one this rhflow reads; resume exits 2 and
+    # changes no file
+    kind, edit, held = REFUSED_LAYOUTS[layout]
     cfg = write_config(tmp_path, CYLINDER_CONFIG)
     out = tmp_path / "out"
-    main(["run", str(cfg), "-o", str(out), "--max-steps", "10"])
-    with np.load(out / "checkpoint.npz") as data:
-        arrays = {key: data[key] for key in data if key not in ("config", "rows")}
-    np.savez(out / "checkpoint.npz", **arrays, scenario="shrinking_cylinder",
-             c_cfl=1.0, dt=1.0e-3, rate_limit=0.05)
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "100"]) == 0
+    path = out / ("checkpoint.npz" if kind == "checkpoint"
+                  else "snapshots/states_00000000_00000100.npz")
+    with np.load(path) as data:
+        arrays = dict(data)
+    np.savez(path, **edit(arrays))
+    message = f"{kind} {path} is in format {held}; this rhflow reads only format {runio.FORMAT}"
+    if kind == "snapshot":
+        with pytest.raises(CheckpointError) as exc:
+            load_snapshot(path, load_config(cfg)[1])
+        assert str(exc.value) == message
+        return
     before = directory_bytes(out)
     capsys.readouterr()
     assert main(["resume", str(out)]) == 2
-    assert (f"checkpoint error: checkpoint {out / 'checkpoint.npz'} has no run config; it "
-            f"was written by an older rhflow and cannot be resumed") in capsys.readouterr().err
+    assert f"checkpoint error: {message}" in capsys.readouterr().err
     assert directory_bytes(out) == before
 
 
-def test_resume_refuses_checkpoint_with_the_eps0_slot(tmp_path, capsys):
-    # the layout before the slack became a constant: eps0 in the config and
-    # as the monitor state's eighth value
+@pytest.mark.parametrize("kind", ["checkpoint", "snapshot"])
+def test_an_unreadable_state_file_is_refused(tmp_path, capsys, kind):
     cfg = write_config(tmp_path, CYLINDER_CONFIG)
     out = tmp_path / "out"
-    main(["run", str(cfg), "-o", str(out), "--max-steps", "10"])
-    with np.load(out / "checkpoint.npz") as data:
-        arrays = dict(data)
-    config = json.loads(str(arrays["config"]))
-    assert "eps0" not in config and arrays["mon"].shape == (7,)
-    arrays["config"] = json.dumps({**config, "eps0": 1e-08})
-    arrays["mon"] = np.append(arrays["mon"], 1e-08)
-    np.savez(out / "checkpoint.npz", **arrays)
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "100"]) == 0
+    path = out / ("checkpoint.npz" if kind == "checkpoint"
+                  else "snapshots/states_00000000_00000100.npz")
+    path.write_bytes(b"not a state file")
+    if kind == "snapshot":
+        with pytest.raises(CheckpointError, match=f"cannot read snapshot {path}"):
+            load_snapshot(path, load_config(cfg)[1])
+        return
     before = directory_bytes(out)
     capsys.readouterr()
     assert main(["resume", str(out)]) == 2
-    assert (f"checkpoint error: checkpoint {out / 'checkpoint.npz'} holds an eps0 setting and "
-            f"an 8-value monitor state; it was written by an older rhflow and cannot be "
-            f"resumed") in capsys.readouterr().err
+    assert f"checkpoint error: cannot read checkpoint {path}" in capsys.readouterr().err
+    assert directory_bytes(out) == before
+
+
+@pytest.mark.parametrize("edit, message", [
+    # the checkpoint's run constants are the config's; a checkpoint edited to
+    # another n and grid was integrated as n = 5 on 32 points to blow-up
+    (lambda arrays: {**arrays, "n": 5,
+                     **{key: np.repeat(arrays[key], 2) for key in ("f", "psi", "u")}},
+     "holds arrays of shape (3, 32); the run's state has (3, 16)"),
+    (lambda arrays: {**arrays, "psi": -arrays["psi"]},
+     "holds a state the run refuses: psi must be positive; first violation at grid index 0"),
+    (lambda arrays: {key: value for key, value in arrays.items() if key != "u"},
+     "has no 'u' array"),
+], ids=["other_n_and_grid", "negative_psi", "row_missing"])
+def test_resume_builds_the_state_from_the_runs_config(tmp_path, capsys, edit, message):
+    cfg = write_config(tmp_path, CYLINDER_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out), "--max-steps", "50"]) == 0
+    path = out / "checkpoint.npz"
+    with np.load(path) as data:
+        arrays = dict(data)
+    np.savez(path, **edit(arrays))
+    before = directory_bytes(out)
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert f"checkpoint error: checkpoint {path} {message}" in capsys.readouterr().err
     assert directory_bytes(out) == before
 
 
@@ -538,7 +620,7 @@ def test_resume_refuses_a_damaged_committed_series(tmp_path, capsys, damage, mes
     assert main(["run", str(cfg), "-o", str(out), "--max-steps", "35"]) == 0
     series = out / "series.jsonl"
     lines = series.read_bytes().splitlines(keepends=True)
-    assert len(lines) == runio.load_checkpoint(out / "checkpoint.npz")[3] == 4
+    assert len(lines) == load_checkpoint(out)[3] == 4
     series.write_bytes(b"".join(damage(lines)))
     before = directory_bytes(out)
     capsys.readouterr()
@@ -676,9 +758,10 @@ def snapshot_steps(rundir):
     """{step: (state, file name)} over every snapshot file of a run
     directory; a step held twice fails."""
     found = {}
+    initial = load_config(rundir / "config.yaml")[1]
     for name in read_manifest(rundir / "manifest.json")["files"]:
         if name.startswith("snapshots/"):
-            for state, step in load_snapshot(rundir / name):
+            for state, step in load_snapshot(rundir / name, initial):
                 assert step not in found
                 found[step] = (state, name)
     return found
@@ -713,19 +796,6 @@ def test_snapshots_reload_bit_exactly(tmp_path, text, split):
     first, second = (path.name for path in legs)
     assert first == f"states_00000000_{max(s for s in want if s <= split):08d}.npz"
     assert second.startswith(f"states_{min(s for s in want if s > split):08d}_")
-
-
-def test_old_layout_snapshot_is_refused(tmp_path):
-    # one state per file with a scalar step: the layout before per-leg files
-    _, initial = load_config(write_config(tmp_path, PERTURBED_TORUS_CONFIG))
-    path = tmp_path / "state_00000000.npz"
-    np.savez(path, step=0, **runio._state_arrays(initial))
-    with pytest.raises(CheckpointError, match="state_00000000.npz holds a single state "
-                                              "in the old"):
-        load_snapshot(path)
-    path.write_bytes(b"not a snapshot")
-    with pytest.raises(CheckpointError, match="cannot read snapshot"):
-        load_snapshot(path)
 
 
 @pytest.mark.parametrize("split, first, resumed, want", [
@@ -785,7 +855,7 @@ def test_resume_max_steps_at_or_below_checkpoint_exits_2(tmp_path, capsys, value
             f"already taken") in capsys.readouterr().err
     assert directory_bytes(out) == before
     assert main(["resume", str(out), "--max-steps", "11"]) == 0
-    assert runio.load_checkpoint(out / "checkpoint.npz")[1] == 11
+    assert load_checkpoint(out)[1] == 11
 
 
 def test_run_refuses_a_directory_holding_a_run(tmp_path, capsys):
@@ -847,7 +917,7 @@ def test_failed_write_keeps_the_previous_checkpoint(tmp_path, capsys, monkeypatc
     assert left == before | ({"snapshots/states_00000200_00000200.npz"}
                              if failing == "checkpoint" else set())
     assert (out / "checkpoint.npz").read_bytes() == checkpoint
-    assert runio.load_checkpoint(out / "checkpoint.npz")[1] == 150
+    assert load_checkpoint(out)[1] == 150
     assert main(["resume", str(out)]) == 0
     assert (out / "series.jsonl").read_bytes() == (full / "series.jsonl").read_bytes()
     manifest = read_manifest(out / "manifest.json")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rhflow import analysis, flow
-from rhflow.convergence import spatial_study, temporal_study
+from rhflow.convergence import temporal_study
 from rhflow.flow import FlowConfig, StepError, rhs, run, step
 from rhflow.geometry import Factor, Fiber, Grid, HomogeneousState, WarpedState, \
     curvature_fields, scale_state
@@ -192,9 +192,11 @@ def test_temporal_convergence_order():
     assert res.order >= 3.8, res.errors
 
 
-def test_spatial_convergence_order():
-    scn = Scenario("perturbed_cylinder", 4, 1.0, winding=0, amplitude=0.05)
-    res = spatial_study(scn, [32, 64, 128], dt=3e-5, t_star=0.02)
+def test_spatial_convergence_order(converge_studies):
+    # converge's study on perturbed_cylinder (n 4, alpha 1, amplitude 0.05):
+    # spatial_study at m = 32, 64, 128, dt 3e-5 and t_star 0.02
+    res = converge_studies["perturbed_cylinder"][0]
+    assert (res.name, res.scales) == ("spatial", [2.0 * np.pi / m for m in (32, 64, 128)])
     assert res.order >= 1.9, res.errors
 
 

@@ -1,59 +1,106 @@
-"""The verify trajectories against their golden record, tests/golden/verify.json.
+"""What rhflow computes against its golden records in tests/golden/.
 
-Every value of the record (the final state's arrays, its monitor row, the
-final time) must agree to 1e-12 relative in the max norm of each array; the
-termination, step and record counts exactly.  The sha256 over every
-record's bits is compared only under the numpy version the file was made
-with, since another version may round differently.
+The records (tests/golden/make_golden.py writes and describes them): the
+verify trajectories, the `rhflow converge` studies, the CYLINDER_CONFIG run
+directory whole and split, and one trajectory that exercises the drift
+term of Lap phi.  Every value of a record must agree to 1e-12 relative in
+the max norm of each array; counts, flags, names and exit codes exactly.
+The sha256 digests over the bits are compared only under the numpy
+version the record was made with, since another version may round
+differently.
 """
 import importlib.util
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-GOLDEN_DIR = Path(__file__).with_name("golden")
-_spec = importlib.util.spec_from_file_location("make_verify_golden",
-                                               GOLDEN_DIR / "make_verify_golden.py")
-make_verify_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_verify_golden)
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", Path(__file__).with_name("golden") / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
 
-GOLDEN = json.loads((GOLDEN_DIR / "verify.json").read_text())
-RTOL = 1e-12
+RTOL = make_golden.RTOL
+GOLDEN = {name: make_golden.load(name) for name in make_golden.RECORDS}
+
+
+def entries(name: str) -> dict:
+    return GOLDEN[name][make_golden.RECORDS[name][1]]
 
 
 @pytest.fixture(scope="module")
-def recomputed(verify_report):
-    return make_verify_golden.trajectories(verify_report)
+def recomputed(verify_report, converge_studies):
+    """recomputed(name): the entries of record name, computed once per module;
+    the verify and converge entries come from the session's shared runs."""
+    compute = {"verify": lambda: make_golden.trajectories(verify_report),
+               "converge": lambda: make_golden.studies(converge_studies),
+               "rundir": make_golden.run_directories,
+               "drift_term": lambda: {"drift_term": make_golden.summary(
+                   make_golden.drift_term_trajectory())}}
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = compute[name]()
+        return cache[name]
+    return get
+
+
+def assert_values_agree(name: str, key: str, got: dict):
+    where, worst = make_golden.largest_deviation(got, entries(name)[key])
+    assert worst <= RTOL, f"{name} {key}{where}: relative deviation {worst:.3e}"
+
+
+def assert_digests_agree(name: str, key: str, got: dict):
+    made_with = GOLDEN[name]["numpy"]
+    if np.__version__ != made_with:
+        pytest.skip(f"digests were made with numpy {made_with}; this is numpy {np.__version__}")
+    assert dict(make_golden.digests(got)) == dict(make_golden.digests(entries(name)[key]))
 
 
 def test_the_golden_record_covers_every_verify_trajectory(recomputed):
-    assert sorted(recomputed) == sorted(GOLDEN["trajectories"])
+    assert sorted(recomputed("verify")) == sorted(entries("verify"))
 
 
-def assert_close(name: str, got, want):
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    assert got.shape == want.shape, name
-    err, scale = np.max(np.abs(got - want)), np.max(np.abs(want))
-    assert err <= RTOL * scale, f"{name}: max deviation {err:.3e} against scale {scale:.3e}"
-
-
-@pytest.mark.parametrize("key", sorted(GOLDEN["trajectories"]))
+@pytest.mark.parametrize("key", sorted(entries("verify")))
 def test_verify_trajectory_matches_its_golden_record(key, recomputed):
-    want, got = GOLDEN["trajectories"][key], recomputed[key]
-    for name in ("termination", "steps", "records"):
-        assert got[name] == want[name], f"{key} {name}"
-    assert_close(f"{key} final_t", got["final_t"], want["final_t"])
-    assert sorted(got["final_state"]) == sorted(want["final_state"])
-    for name, values in want["final_state"].items():
-        assert_close(f"{key} {name}", got["final_state"][name], values)
-    assert_close(f"{key} final monitor row", got["final_monitor"], want["final_monitor"])
+    assert_values_agree("verify", key, recomputed("verify")[key])
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN["trajectories"]))
+@pytest.mark.parametrize("key", sorted(entries("verify")))
 def test_verify_trajectory_bits_match_their_golden_digest(key, recomputed):
-    if np.__version__ != GOLDEN["numpy"]:
-        pytest.skip(f"digests were made with numpy {GOLDEN['numpy']}; "
-                    f"this is numpy {np.__version__}")
-    assert recomputed[key]["digest"] == GOLDEN["trajectories"][key]["digest"]
+    assert_digests_agree("verify", key, recomputed("verify")[key])
+
+
+OTHER_RECORDS = [name for name in make_golden.RECORDS if name != "verify"]
+OTHER_ENTRIES = [(name, key) for name in OTHER_RECORDS for key in sorted(entries(name))]
+ENTRY_IDS = [f"{name}:{key}" for name, key in OTHER_ENTRIES]
+# the converge studies hold values only
+DIGESTED_ENTRIES = [(name, key) for name, key in OTHER_ENTRIES
+                    if any(make_golden.digests(entries(name)[key]))]
+
+
+@pytest.mark.parametrize("name", OTHER_RECORDS)
+def test_the_golden_record_covers_every_entry(name, recomputed):
+    assert sorted(recomputed(name)) == sorted(entries(name))
+
+
+@pytest.mark.parametrize("name, key", OTHER_ENTRIES, ids=ENTRY_IDS)
+def test_golden_entry_values_agree(name, key, recomputed):
+    assert_values_agree(name, key, recomputed(name)[key])
+
+
+@pytest.mark.parametrize("name, key", DIGESTED_ENTRIES,
+                         ids=[f"{name}:{key}" for name, key in DIGESTED_ENTRIES])
+def test_golden_entry_bits_match_their_digests(name, key, recomputed):
+    assert_digests_agree(name, key, recomputed(name)[key])
+
+
+def test_largest_deviation_reads_values_and_ignores_digests():
+    want = {"digest": "a", "x": [1.0, 2.0], "n": 3, "s": [{"t": 0.5}]}
+    assert make_golden.largest_deviation({**want, "digest": "b"}, want)[1] == 0.0
+    assert make_golden.largest_deviation({**want, "x": [1.0, 2.0 + 2e-12]}, want) == (
+        "/x", pytest.approx(1e-12))
+    assert make_golden.largest_deviation({**want, "n": 4}, want) == ("/n", 1.0 / 3.0)
+    for changed in ({"s": [{"t": 0.5}, {"t": 0.6}]}, {"x": [1.0]}, {"n": None}):
+        assert make_golden.largest_deviation({**want, **changed}, want)[1] == float("inf")
