@@ -416,6 +416,7 @@ class HomogeneousState:
 
     # -- the state interface shared with WarpedState -------------------------
 
+    ROWS = ("coeffs",)  # the name of the arrays() row
     positive = 1  # the coefficients must stay positive
 
     def arrays(self) -> np.ndarray:

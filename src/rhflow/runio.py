@@ -152,7 +152,7 @@ def config_to_dict(cfg: FlowConfig, state: State) -> dict:
     """cfg as plain values, with the kind of state (a state of the run) as representation."""
     out = asdict(cfg)
     out["fiber"] = cfg.fiber.value
-    out["representation"] = _representation(state)
+    out["representation"] = "warped" if isinstance(state, WarpedState) else "homogeneous"
     return out
 
 
@@ -224,14 +224,6 @@ def _replace_atomically(path, write):
 # before the layout was numbered).  Bump it with every layout change.
 FORMAT = 1
 
-# The key of each arrays() row in a state file, by representation.
-_ROW_KEYS = {"warped": ("f", "psi", "u"), "homogeneous": ("coeffs",)}
-
-
-def _representation(state: State) -> str:
-    return "warped" if isinstance(state, WarpedState) else "homogeneous"
-
-
 def _read_state_file(path, what: str) -> dict:
     """Every array of a snapshot or checkpoint file (what says which) of
     this FORMAT."""
@@ -256,8 +248,7 @@ def _states(path, what: str, initial: State, data: dict) -> list[tuple[State, in
     want = initial.arrays().shape
     try:
         steps, times = data["step"], np.asarray(data["t"], dtype=float)
-        blocks = np.stack([data[key] for key in _ROW_KEYS[_representation(initial)]],
-                          axis=steps.ndim)
+        blocks = np.stack([data[key] for key in initial.ROWS], axis=steps.ndim)
     except KeyError as exc:
         raise CheckpointError(f"{what} {path} has no {exc} array") from exc
     except ValueError as exc:
@@ -286,7 +277,7 @@ def save_snapshot(path, states: list[State], steps: list[int]):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     _replace_atomically(path, lambda fh: np.savez(
         fh, format=FORMAT, step=np.array(steps), t=np.array([state.t for state in states]),
-        **dict(zip(_ROW_KEYS[_representation(states[0])], rows))))
+        **dict(zip(states[0].ROWS, rows))))
 
 
 def load_snapshot(path, initial: State) -> list[tuple[State, int]]:
@@ -311,7 +302,7 @@ def save_checkpoint(path, traj: Trajectory, rows: int):
         fh, format=FORMAT, step=traj.steps, t=state.t, rows=rows,
         mon=np.array(astuple(traj.monitor_state)),
         config=json.dumps(config_to_dict(traj.config, state)),
-        **dict(zip(_ROW_KEYS[_representation(state)], state.arrays()))))
+        **dict(zip(state.ROWS, state.arrays()))))
 
 
 def load_checkpoint(path, config: FlowConfig, initial: State):

@@ -1,8 +1,7 @@
 """Fixtures shared by several test modules."""
 import pytest
 
-from rhflow.convergence import studies_for
-from rhflow.oracles import SCENARIO_IDS, default_scenario
+import make_golden  # tests/golden, on the pytest pythonpath
 from rhflow.verification import run_verification
 
 
@@ -16,4 +15,4 @@ def verify_report():
 @pytest.fixture(scope="session")
 def converge_studies():
     """{scenario id: the studies `rhflow converge` runs on it}, computed once."""
-    return {sid: studies_for(default_scenario(sid)) for sid in SCENARIO_IDS}
+    return make_golden.converge_studies()

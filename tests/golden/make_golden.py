@@ -1,22 +1,22 @@
 """Write, or check, the golden records of what rhflow computes.
 
-    PYTHONPATH=src python tests/golden/make_golden.py [RECORD ...]
-    PYTHONPATH=src python tests/golden/make_golden.py --check [RECORD ...]
+    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py --check
 
 Each record is one JSON file in this directory (RECORDS names them):
 
 * verify.json - each trajectory of run_verification();
 * converge.json - each `rhflow converge` study of the six scenarios;
-* rundir.json - the run directory of tests/test_cli.py's CYLINDER_CONFIG,
-  run whole and as a chain split at steps 100 and 200;
+* rundir.json - the run directory of cylinder.yaml (tests/test_cli.py's
+  CYLINDER_CONFIG), run whole and as a chain split at steps 100 and 200;
 * drift_term.json - one trajectory from a state outside the registry whose
   psi and phi both vary, so the drift term of Lap phi is exercised.
 
 A record holds every value at repr precision, a sha256 (a key with
 "digest" in its name) over the bits that the values summarize, and the
 numpy version and platform it was made with.  tests/test_golden.py
-recomputes each record and compares it with its file.  Without --check the
-named records (all by default) are rewritten: do that only for a change
+recomputes each record and compares it with its file.  Without --check
+every record is rewritten: do that only for a change
 that is meant to move output bits, and say so where the change is
 described.  --check rewrites nothing: it prints, for each record, the
 largest relative deviation of a value from the file (max norm per array)
@@ -26,7 +26,6 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -87,8 +86,10 @@ def summary(traj) -> dict:
             "final_monitor": monitor_row(traj.final)}
 
 
-def trajectories(report) -> dict[str, dict]:
-    """The summary of each trajectory of a run_verification() report."""
+def trajectories(report=None) -> dict[str, dict]:
+    """The summary of each trajectory of a run_verification() report (made
+    here when None)."""
+    report = run_verification() if report is None else report
     return {f"{sid}/{name}": summary(traj) for (sid, name), traj in report.trajectories.items()}
 
 
@@ -102,6 +103,10 @@ def drift_term_trajectory():
     return run(FlowConfig(n=4, alpha=1.0, m=32, dt=1e-3, t_end=0.05, output_every=5), state)
 
 
+def drift_term() -> dict[str, dict]:
+    return {"drift_term": summary(drift_term_trajectory())}
+
+
 # ---------------------------------------------------------------------------
 # convergence studies
 
@@ -111,8 +116,10 @@ def converge_studies() -> dict[str, list]:
     return {sid: studies_for(default_scenario(sid)) for sid in SCENARIO_IDS}
 
 
-def studies(results: dict[str, list]) -> dict[str, dict]:
-    """Each study's scales, errors, order and pass flag, by "scenario/study"."""
+def studies(results=None) -> dict[str, dict]:
+    """Each study's scales, errors, order and pass flag, by "scenario/study",
+    of converge_studies() results (made here when None)."""
+    results = converge_studies() if results is None else results
     return {f"{sid}/{res.name}": {"scales": [float(s) for s in res.scales],
                                   "errors": res.errors, "order": res.order,
                                   "exact": res.exact, "passed": res.passed}
@@ -121,13 +128,6 @@ def studies(results: dict[str, list]) -> dict[str, dict]:
 
 # ---------------------------------------------------------------------------
 # run directories
-
-
-def _cylinder_config() -> str:
-    spec = importlib.util.spec_from_file_location("test_cli", HERE.parent / "test_cli.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.CYLINDER_CONFIG
 
 
 # the argument lists of each run: whole, and split by --max-steps
@@ -169,11 +169,10 @@ def run_directory(rundir, exits: list[int]) -> dict:
 
 
 def run_directories() -> dict[str, dict]:
-    """run_directory of each RUN_CHAINS entry on CYLINDER_CONFIG."""
+    """run_directory of each RUN_CHAINS entry on cylinder.yaml."""
     out = {}
+    config = HERE / "cylinder.yaml"
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        config = Path(tmp, "cylinder.yaml")
-        config.write_text(_cylinder_config())
         for name, chain in RUN_CHAINS.items():
             rundir = Path(tmp, name)
             exits = [rhflow_main([args[0], *([str(config), "-o"] if args[0] == "run" else []),
@@ -185,13 +184,13 @@ def run_directories() -> dict[str, dict]:
 # ---------------------------------------------------------------------------
 # records and their comparison
 
-# record name: (file, key of the entries, function computing the entries)
+# record name: (file, key of the entries, function computing the entries;
+# the verify and converge ones take an already-run report or studies)
 RECORDS = {
-    "verify": ("verify.json", "trajectories", lambda: trajectories(run_verification())),
-    "converge": ("converge.json", "studies", lambda: studies(converge_studies())),
+    "verify": ("verify.json", "trajectories", trajectories),
+    "converge": ("converge.json", "studies", studies),
     "rundir": ("rundir.json", "runs", run_directories),
-    "drift_term": ("drift_term.json", "trajectories",
-                   lambda: {"drift_term": summary(drift_term_trajectory())}),
+    "drift_term": ("drift_term.json", "trajectories", drift_term),
 }
 
 
@@ -277,18 +276,11 @@ def write(name: str):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("records", nargs="*", metavar="RECORD",
-                        help=f"records to write or check (default all): {', '.join(RECORDS)}")
     parser.add_argument("--check", action="store_true",
                         help="compare with the committed records instead of writing them")
-    args = parser.parse_args(argv)
-    names = args.records or list(RECORDS)
-    unknown = set(names) - set(RECORDS)
-    if unknown:
-        parser.error(f"unknown record {sorted(unknown)[0]!r}; expected one of {list(RECORDS)}")
-    if args.check:
-        return 0 if all([check(name) for name in names]) else 1
-    for name in names:
+    if parser.parse_args(argv).check:
+        return 0 if all([check(name) for name in RECORDS]) else 1
+    for name in RECORDS:
         write(name)
     return 0
 

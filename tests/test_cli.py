@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,19 +27,9 @@ output_every: 10
 snapshot_every: 20
 """
 
-CYLINDER_CONFIG = """\
-scenario: shrinking_cylinder
-n: 4
-alpha: 0.0
-t_end: 0.3
-m: 16
-dt: 1.0e-3
-blowup_threshold: 1.0e6
-output_every: 10
-snapshot_every: 100
-params:
-  psi0: 1.0
-"""
+# a shrinking cylinder run to blow-up at t = 1/4; tests/golden/rundir.json
+# records its run directory
+CYLINDER_CONFIG = (Path(__file__).with_name("golden") / "cylinder.yaml").read_text()
 
 
 def write_config(tmp_path, text, name="config.yaml"):

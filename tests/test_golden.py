@@ -9,16 +9,10 @@ The sha256 digests over the bits are compared only under the numpy
 version the record was made with, since another version may round
 differently.
 """
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "make_golden", Path(__file__).with_name("golden") / "make_golden.py")
-make_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_golden)
+import make_golden  # tests/golden, on the pytest pythonpath
 
 RTOL = make_golden.RTOL
 GOLDEN = {name: make_golden.load(name) for name in make_golden.RECORDS}
@@ -32,16 +26,12 @@ def entries(name: str) -> dict:
 def recomputed(verify_report, converge_studies):
     """recomputed(name): the entries of record name, computed once per module;
     the verify and converge entries come from the session's shared runs."""
-    compute = {"verify": lambda: make_golden.trajectories(verify_report),
-               "converge": lambda: make_golden.studies(converge_studies),
-               "rundir": make_golden.run_directories,
-               "drift_term": lambda: {"drift_term": make_golden.summary(
-                   make_golden.drift_term_trajectory())}}
+    ran = {"verify": (verify_report,), "converge": (converge_studies,)}
     cache = {}
 
     def get(name):
         if name not in cache:
-            cache[name] = compute[name]()
+            cache[name] = make_golden.RECORDS[name][2](*ran.get(name, ()))
         return cache[name]
     return get
 
