@@ -10,7 +10,7 @@ import pytest
 import rhflow.flow
 from rhflow import runio
 from rhflow.cli import main
-from rhflow.flow import run
+from rhflow.flow import FlowConfig, run
 from rhflow.geometry import Grid
 from rhflow.runio import (CheckpointError, ConfigError, load_config, load_snapshot,
                           parse_config, read_manifest, read_series)
@@ -498,7 +498,7 @@ def test_resume_builds_the_state_from_the_runs_config(tmp_path, capsys, edit, me
      "checkpoint error: checkpoint representation warped does not match "
      "config representation homogeneous"),
     (("m: 16", "m: 16\nc_cfl: 0.1"),
-     "checkpoint error: checkpoint c_cfl 1.0 does not match config c_cfl 0.1"),
+     f"checkpoint error: checkpoint c_cfl {FlowConfig().c_cfl} does not match config c_cfl 0.1"),
     (("dt: 1.0e-3\n", ""),
      "checkpoint error: checkpoint dt 0.001 does not match config dt None"),
     (("m: 16", "m: 16\nrate_limit: 0.1"),
@@ -543,7 +543,7 @@ RESUME_EDITS = [
     ("n", CYLINDER_CONFIG, ("n: 4", "n: 5"), 4, 5),
     ("alpha", CYLINDER_CONFIG, ("alpha: 0.0", "alpha: 0.5"), 0.0, 0.5),
     ("m", CYLINDER_CONFIG, ("m: 16", "m: 32"), 16, 32),
-    ("c_cfl", CYLINDER_CONFIG, ("m: 16", "m: 16\nc_cfl: 0.5"), 1.0, 0.5),
+    ("c_cfl", CYLINDER_CONFIG, ("m: 16", "m: 16\nc_cfl: 0.5"), FlowConfig().c_cfl, 0.5),
     ("dt", CYLINDER_CONFIG, ("dt: 1.0e-3", "dt: 5.0e-4"), 0.001, 0.0005),
     ("rate_limit", CYLINDER_CONFIG, ("m: 16", "m: 16\nrate_limit: 0.1"), 0.05, 0.1),
     ("params", CYLINDER_CONFIG, ("psi0: 1.0", "psi0: 2.0"), {"psi0": 1.0}, {"psi0": 2.0}),

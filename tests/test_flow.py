@@ -9,7 +9,7 @@ from rhflow.convergence import temporal_study
 from rhflow.flow import FlowConfig, StepError, rhs, run, step
 from rhflow.geometry import Factor, Fiber, Grid, HomogeneousState, WarpedState, \
     curvature_fields, scale_state
-from rhflow.oracles import Scenario, default_scenario, exact_state
+from rhflow.oracles import Scenario, default_scenario, exact_state, scenario_run
 
 
 def test_rhs_torus_coupling():
@@ -325,7 +325,7 @@ def test_cfl_cap_is_rk4_real_axis_stability_limit():
 
 def test_neck_at_the_cfl_cap_keeps_the_estimates():
     # the stability limit is a usable setting: the m=128 neck runs to
-    # blow-up in 132 steps (187 at the default) with every estimate gate
+    # blow-up in 132 steps (135 at the default) with every estimate gate
     scn = default_scenario("perturbed_cylinder")
     cfg = FlowConfig(scenario=scn.id, n=4, alpha=1.0, m=128, t_end=0.3,
                      c_cfl=flow._RK4_REAL_LIMIT, output_every=10)
@@ -338,6 +338,38 @@ def test_neck_at_the_cfl_cap_keeps_the_estimates():
     assert analysis.check_gradient_bound(traj) >= -1e-8
     assert analysis.check_volume_evolution(traj)[1] >= -1e-10
     assert analysis.check_phi_max_principle(traj) <= 1e-8 * (first.phi_max - first.phi_min) + 1e-12
+
+
+# u seeded with 1e-10 cos(pi i / 2), the wavenumber m/4 mode: sin^2(kh) is 1
+# there, so the nested difference's eigenvalue on it is -1/(f h)^2, the
+# spectral radius the CFL bound is set from.  The alternating (Nyquist) mode
+# would show nothing: Dx annihilates it, so it sits still at every c_cfl.
+STIFF_MODE_RUNS = pytest.mark.parametrize("sid, t_end", [("perturbed_torus", 0.1),
+                                                         ("perturbed_cylinder", 0.3)])
+
+
+def _stiff_mode_amplitudes(sid, t_end, **fields):
+    """The seeded mode's rfft amplitude in u at each record of an m=256 run."""
+    cfg, initial = scenario_run(default_scenario(sid), m=256, t_end=t_end, output_every=1,
+                                **fields)
+    y = initial.arrays().copy()
+    y[2] += 1e-10 * np.cos(0.5 * np.pi * np.arange(cfg.m))
+    traj = run(cfg, initial.evolved(y, 0.0))
+    return [abs(np.fft.rfft(rec.state.u)[cfg.m // 4]) / cfg.m for rec in traj.records]
+
+
+@STIFF_MODE_RUNS
+def test_the_default_step_damps_the_stiffest_mode(sid, t_end):
+    amplitudes = _stiff_mode_amplitudes(sid, t_end)
+    assert max(amplitudes) <= amplitudes[0]
+
+
+@STIFF_MODE_RUNS
+def test_a_step_past_the_rk4_limit_grows_the_stiffest_mode(monkeypatch, sid, t_end):
+    # the probe above bites: with the cap lifted, c_cfl 3.0 lets the mode grow
+    monkeypatch.setattr(flow, "_RK4_REAL_LIMIT", 10.0)
+    amplitudes = _stiff_mode_amplitudes(sid, t_end, c_cfl=3.0)
+    assert max(amplitudes) >= 1000.0 * amplitudes[0]
 
 
 def test_reduced_flow_matches_tensor_equation_via_oracle():
